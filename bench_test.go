@@ -198,12 +198,14 @@ func BenchmarkAblationMaxSATOLL(b *testing.B) {
 	benchDCRepair(b, opts)
 }
 
-// benchDC256SolveStage repairs the broken dc-256 preset — the
-// solve-stage-dominated workload — and reports the SAT-solve stage's
-// share (summed SolveNs across sub-problems) as solve-ns/op alongside
-// the end-to-end time. The OLL/Linear pair is the core-guided engine's
-// headline speedup evidence in BENCH_baseline.json.
-func benchDC256SolveStage(b *testing.B, algo maxsat.Algorithm) {
+// benchCoreRepairDC256 times all of core.Repair on the broken dc-256
+// preset — state derivation and cloning, per-problem quotient, encode,
+// solve, concretize and re-verify, merge — and reports the SAT-solve
+// stage alone (summed SolveNs across sub-problems, about 2% of the
+// total) as solve-ns/op. The OLL/Linear pair's solve-ns/op is the
+// core-guided engine's speedup evidence in BENCH_baseline.json; ns/op
+// and B/op track the pipeline around the solver.
+func benchCoreRepairDC256(b *testing.B, algo maxsat.Algorithm) {
 	inst, err := generate.Preset("dc-256", 7)
 	if err != nil {
 		b.Fatal(err)
@@ -225,13 +227,62 @@ func benchDC256SolveStage(b *testing.B, algo maxsat.Algorithm) {
 	b.ReportMetric(float64(solveNs)/float64(b.N), "solve-ns/op")
 }
 
-func BenchmarkRepairDC256SolveStageOLL(b *testing.B) {
-	benchDC256SolveStage(b, maxsat.OLL)
+func BenchmarkCoreRepairDC256OLL(b *testing.B) {
+	benchCoreRepairDC256(b, maxsat.OLL)
 }
 
-func BenchmarkRepairDC256SolveStageLinear(b *testing.B) {
-	benchDC256SolveStage(b, maxsat.LinearDescent)
+func BenchmarkCoreRepairDC256Linear(b *testing.B) {
+	benchCoreRepairDC256(b, maxsat.LinearDescent)
 }
+
+// BenchmarkTranslateDC256 times translate.Translate on one dc-256
+// repair: turning the repaired state into configuration edits. Only the
+// classes the repair wrote differ from the pre-repair state by map
+// identity, so the ACL pass visits those and skips the rest.
+func BenchmarkTranslateDC256(b *testing.B) {
+	inst, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := inst.Harc()
+	res, err := core.Repair(h, inst.Policies, core.DefaultOptions())
+	if err != nil || !res.Solved {
+		b.Fatalf("repair failed: %v", err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cfgs, err := translate.CloneConfigs(inst.Configs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := translate.Translate(h, res.Orig, res.State, cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStateCloneDC256 times cloning the dc-256 pre-repair state,
+// which every repair does once for its result and once per realized
+// sub-problem: the flat and outer maps are copied, the per-class and
+// per-destination maps shared.
+func BenchmarkStateCloneDC256(b *testing.B) {
+	inst, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := harc.StateOf(inst.Harc())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stateSink = st.Clone()
+	}
+}
+
+// stateSink keeps the compiler from discarding benchmarked results.
+var stateSink *harc.State
 
 // Parallel per-destination solving (the "10 problems in parallel" claim).
 func BenchmarkAblationParallel4(b *testing.B) {

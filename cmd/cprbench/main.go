@@ -40,10 +40,11 @@ import (
 // incremental-state micro-benchmarks behind it, the SAT-core
 // microbenchmarks (conflict-heavy search, incremental assumptions, and
 // learned-clause reduction with arena GC), the MaxSAT engine pair
-// (core-guided OLL vs linear descent), and the solve-stage-dominated
-// dc-256 repair pair whose solve-ns/op metric is the OLL speedup
-// evidence.
-const HeadlineBenchmarks = "BenchmarkTable2RepairEncodingFig2a$|BenchmarkAblationGranularityPerDst$|BenchmarkServerRepairWarm$|BenchmarkServerRepairChurn$|BenchmarkCompressRepairFatTreeOn$|BenchmarkCompressRepairFatTreeOff$|BenchmarkCompressQuotientBuild$|BenchmarkCompressVerifyQuotientOn$|BenchmarkCompressVerifyQuotientOff$|BenchmarkHarcStateOfDelta$|BenchmarkHarcStateOfFull$|BenchmarkSATPigeonhole$|BenchmarkSATIncrementalAssumptions$|BenchmarkSATReduceAndGC$|BenchmarkMaxSATOLL$|BenchmarkMaxSATLinear$|BenchmarkMaxSATWeightedOLL$|BenchmarkMaxSATWeightedLinear$|BenchmarkRepairDC256SolveStageOLL$|BenchmarkRepairDC256SolveStageLinear$"
+// (core-guided OLL vs linear descent), the whole-core.Repair dc-256 pair
+// whose solve-ns/op metric is the OLL speedup evidence, and the dc-256
+// translate and state-clone benchmarks of the copy-on-write repair
+// state.
+const HeadlineBenchmarks = "BenchmarkTable2RepairEncodingFig2a$|BenchmarkAblationGranularityPerDst$|BenchmarkServerRepairWarm$|BenchmarkServerRepairChurn$|BenchmarkCompressRepairFatTreeOn$|BenchmarkCompressRepairFatTreeOff$|BenchmarkCompressQuotientBuild$|BenchmarkCompressVerifyQuotientOn$|BenchmarkCompressVerifyQuotientOff$|BenchmarkHarcStateOfDelta$|BenchmarkHarcStateOfFull$|BenchmarkSATPigeonhole$|BenchmarkSATIncrementalAssumptions$|BenchmarkSATReduceAndGC$|BenchmarkMaxSATOLL$|BenchmarkMaxSATLinear$|BenchmarkMaxSATWeightedOLL$|BenchmarkMaxSATWeightedLinear$|BenchmarkCoreRepairDC256OLL$|BenchmarkCoreRepairDC256Linear$|BenchmarkTranslateDC256$|BenchmarkStateCloneDC256$"
 
 // HeadlinePackages are the packages holding the headline benchmarks.
 const HeadlinePackages = "repro,repro/internal/compress,repro/internal/smt/sat,repro/internal/smt/maxsat"

@@ -233,7 +233,7 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 	// patched configuration text through the parser and verifies the
 	// repaired policies on the network it actually describes. If that
 	// ever disagrees, the whole repair is redone uncompressed.
-	if res.Compressed > 0 && !verifyPatchedConfigs(ctx, out.PatchedConfigs, res.Repaired, res.State) {
+	if res.Compressed > 0 && !verifyPatchedConfigs(ctx, s, out.PatchedConfigs, res.Repaired, res.State, orig) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -245,33 +245,52 @@ func (s *System) RepairCtx(ctx context.Context, policies []Policy, opts Options)
 }
 
 // verifyPatchedConfigs re-parses patched configuration text and checks
-// the given policies against the HARC of the network it describes,
-// restricted to the policies' traffic classes (building the full
-// all-pairs HARC would dwarf the repair itself on large networks).
-// Policies are rebound to the re-parsed network's subnets by name.
+// the given policies against the network it describes. want is the
+// already-verified repaired state and orig the pre-repair state of s it
+// was cloned from. The checks run cheapest first, each later one only
+// when the earlier cannot decide:
 //
-// Fast path: when the re-parsed network's extracted state is identical
-// (on every map a policy check reads) to the already-verified repaired
-// state `want`, every verdict must agree with the verified one, so the
-// per-policy graph checks — and the per-class ETG builds they imply —
-// are skipped entirely. Any difference falls back to the full checks.
-func verifyPatchedConfigs(ctx context.Context, patched map[string]string, policies []Policy, want *harc.State) bool {
-	keys := make([]string, 0, len(patched))
-	for k := range patched {
-		keys = append(keys, k)
+//  1. replayDelta: the patched network has s's shape and differs only
+//     on the devices whose text changed, so re-deriving just the slots
+//     touching those devices proves its state equals want.
+//  2. The full replay: StateOf over the patched network's policy
+//     classes compared with want, then, on any difference, the
+//     per-policy graph checks.
+func verifyPatchedConfigs(ctx context.Context, s *System, patched map[string]string, policies []Policy, want, orig *harc.State) bool {
+	rp, ok := parsePatched(patched, policies)
+	if !ok {
+		return false
 	}
-	sort.Strings(keys)
+	if want != nil && orig != nil && rp.replayDelta(s, patched, want, orig) {
+		return true
+	}
+	return rp.replayFull(ctx, want)
+}
+
+// patchedReplay is patched configuration text re-parsed into a network,
+// with the policies rebound to it and a lite HARC over their classes.
+type patchedReplay struct {
+	lh      *harc.HARC
+	tcs     []TrafficClass
+	rebound []Policy
+}
+
+// parsePatched parses patched text and rebinds the policies to the
+// network it describes by subnet name (building the full all-pairs HARC
+// would dwarf the repair itself on large networks, so the lite HARC
+// covers only the policies' classes).
+func parsePatched(patched map[string]string, policies []Policy) (*patchedReplay, bool) {
 	var parsed []*config.Config
-	for _, k := range keys {
+	for _, k := range sortedLabels(patched) {
 		c, err := config.Parse(k, patched[k])
 		if err != nil {
-			return false
+			return nil, false
 		}
 		parsed = append(parsed, c)
 	}
 	n, err := config.Extract(parsed)
 	if err != nil {
-		return false
+		return nil, false
 	}
 	remap := func(tc TrafficClass) (TrafficClass, bool) {
 		if tc.Src == nil || tc.Dst == nil {
@@ -283,41 +302,63 @@ func verifyPatchedConfigs(ctx context.Context, patched map[string]string, polici
 		}
 		return TrafficClass{Src: src, Dst: dst}, true
 	}
-	var rebound []Policy
+	rp := &patchedReplay{}
 	seen := map[string]bool{}
-	var tcs []TrafficClass
 	addTC := func(tc TrafficClass) {
 		if !seen[tc.Key()] {
 			seen[tc.Key()] = true
-			tcs = append(tcs, tc)
+			rp.tcs = append(rp.tcs, tc)
 		}
 	}
 	for _, p := range policies {
-		rp := p
+		q := p
 		tc, ok := remap(p.TC)
 		if !ok {
-			return false
+			return nil, false
 		}
-		rp.TC = tc
+		q.TC = tc
 		addTC(tc)
 		if p.Kind == policy.Isolated {
 			tc2, ok := remap(p.TC2)
 			if !ok {
-				return false
+				return nil, false
 			}
-			rp.TC2 = tc2
+			q.TC2 = tc2
 			addTC(tc2)
 		}
-		rebound = append(rebound, rp)
+		rp.rebound = append(rp.rebound, q)
 	}
-	if want != nil {
-		lh := harc.BuildLite(n, tcs)
-		if patchedStateMatches(harc.StateOf(lh), want, tcs) {
-			return true
+	rp.lh = harc.BuildLite(n, rp.tcs)
+	return rp, true
+}
+
+// replayDelta reports whether the patched network's state provably
+// equals want, re-deriving only the slots that touch a device whose
+// patched text differs from its original printed text (see
+// harc.DeltaMatches for the locality argument and its guards). False
+// means "not proven", never "violated".
+func (rp *patchedReplay) replayDelta(s *System, patched map[string]string, want, orig *harc.State) bool {
+	changed := make(map[string]bool)
+	for host, text := range patched {
+		if c := s.Configs[host]; c == nil || c.Print() != text {
+			changed[host] = true
 		}
 	}
-	h := harc.BuildForTCs(n, tcs)
-	for _, p := range rebound {
+	return harc.DeltaMatches(rp.lh, s.HARC, orig, want, changed)
+}
+
+// replayFull is the from-scratch replay. When the patched network's
+// extracted state is identical (on every map a policy check reads) to
+// the already-verified repaired state want, every verdict must agree
+// with the verified one, so the per-policy graph checks — and the
+// per-class ETG builds they imply — are skipped. Any difference falls
+// back to the full checks.
+func (rp *patchedReplay) replayFull(ctx context.Context, want *harc.State) bool {
+	if want != nil && patchedStateMatches(harc.StateOf(rp.lh), want, rp.tcs) {
+		return true
+	}
+	h := harc.BuildForTCs(rp.lh.Network, rp.tcs)
+	for _, p := range rp.rebound {
 		if ctx.Err() != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"net/netip"
 	"strings"
 	"testing"
@@ -331,5 +332,39 @@ func TestWildcardMatch(t *testing.T) {
 	}
 	if wildcardMatch(base, wild, netip.MustParseAddr("11.0.0.1")) {
 		t.Error("11.0.0.1 should not match")
+	}
+}
+
+// TestParseTruncatedStatements pins labeled errors (never panics) for
+// statements cut off after their keyword, in every statement switch.
+func TestParseTruncatedStatements(t *testing.T) {
+	cases := []struct{ name, text, want string }{
+		{"redistribute without source", "router ospf 0\n redistribute", "redistribute wants a source"},
+		{"redistribute protocol without id", "hostname t\nrouter ospf 1\n redistribute bgp\n", "wants a process id"},
+		{"network without args", "hostname t\nrouter ospf 1\n network\n", "network wants"},
+		{"passive without interface", "hostname t\nrouter ospf 1\n passive-interface\n", "passive-interface wants"},
+		{"distribute-list truncated", "hostname t\nrouter ospf 1\n distribute-list\n", "distribute-list wants"},
+		{"neighbor truncated", "hostname t\nrouter bgp 1\n neighbor\n", "neighbor wants"},
+		{"router without args", "hostname t\nrouter\n", "router wants"},
+		{"hostname without name", "hostname\n", "hostname wants"},
+		{"interface without name", "hostname t\ninterface\n", "interface wants"},
+		{"bare ip", "hostname t\nip\n", "unknown ip statement"},
+		{"ip route without args", "hostname t\nip route\n", "ip route wants"},
+		{"ip address truncated", "hostname t\ninterface e0\n ip address\n", "ip address wants"},
+		{"bare interface ip", "hostname t\ninterface e0\n ip\n", "unknown interface statement"},
+		{"acl entry truncated", "hostname t\nip access-list extended A\n deny\n", "ACL entry wants"},
+		{"acl target truncated", "hostname t\nip access-list extended A\n deny ip 10.0.0.0\n", "ACL target wants"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse("t.cfg", tc.text)
+			var pe *ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("got %v, want a *ParseError", err)
+			}
+			if !strings.Contains(pe.Msg, tc.want) {
+				t.Fatalf("error %q does not mention %q", pe.Msg, tc.want)
+			}
+		})
 	}
 }

@@ -220,6 +220,9 @@ func (p *parser) parseRouter(args []string) (*RouterStanza, error) {
 			}
 			st.Passive = append(st.Passive, fields[1])
 		case "redistribute":
+			if len(fields) < 2 {
+				return nil, p.errf("redistribute wants a source")
+			}
 			rl := RedistributeLine{Source: fields[1]}
 			switch fields[1] {
 			case "connected", "static":

@@ -390,54 +390,6 @@ func groupInterSlots(h *harc.HARC, classOf map[string]int) *interGroups {
 // concrete devices whose constructs the patch edited (driving the
 // spot-check sample and the incremental re-check), and whether every
 // quotient edit found a concrete home.
-// cowTrial clones orig only where concretizePatch can write: the flat
-// construct and waypoint maps, this sub-problem's per-destination dETG
-// maps, and its per-class tcETG maps. Every other per-dst and per-TC
-// inner map — the dominant cost of a full Clone on a large network — is
-// shared read-only with orig, which is safe because the verifiers, the
-// serial merge, and the solve cache all treat realized states as
-// immutable.
-func cowTrial(orig *harc.State, pr *problem) *harc.State {
-	trial := &harc.State{
-		All:         orig.All,
-		Cost:        orig.Cost,
-		Dst:         make(map[string]map[string]bool, len(orig.Dst)),
-		TC:          make(map[string]map[string]bool, len(orig.TC)),
-		Waypoint:    make(map[string]bool, len(orig.Waypoint)),
-		RouteFilter: make(map[string]bool, len(orig.RouteFilter)),
-		Static:      make(map[string]bool, len(orig.Static)),
-	}
-	for k, v := range orig.Waypoint {
-		trial.Waypoint[k] = v
-	}
-	for k, v := range orig.RouteFilter {
-		trial.RouteFilter[k] = v
-	}
-	for k, v := range orig.Static {
-		trial.Static[k] = v
-	}
-	for d, m := range orig.Dst {
-		trial.Dst[d] = m
-	}
-	for t, m := range orig.TC {
-		trial.TC[t] = m
-	}
-	copyInner := func(m map[string]bool) map[string]bool {
-		c := make(map[string]bool, len(m))
-		for k, v := range m {
-			c[k] = v
-		}
-		return c
-	}
-	for _, dst := range pr.dsts() {
-		trial.Dst[dst.Name] = copyInner(orig.Dst[dst.Name])
-	}
-	for _, tc := range pr.tcs {
-		trial.TC[tc.Key()] = copyInner(orig.TC[tc.Key()])
-	}
-	return trial
-}
-
 func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Quotient, qh *harc.HARC, qorig, qrep *harc.State, opts Options) (*harc.State, int, map[string]bool, bool) {
 	// Per-destination repairs with no PC4 never touch link costs.
 	for ck, v := range qrep.Cost {
@@ -445,7 +397,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			return nil, 0, nil, false
 		}
 	}
-	trial := cowTrial(orig, pr)
+	trial := orig.Clone()
 	changes := 0
 	touched := map[string]bool{}
 	dsts := pr.dsts()
@@ -584,7 +536,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 	// like statics do.
 	for _, tc := range pr.tcs {
 		tck := tc.Key()
-		m, origM := trial.TC[tck], orig.TC[tck]
+		origM := orig.TC[tck]
 		dm, origDm := trial.Dst[tc.Dst.Name], orig.Dst[tc.Dst.Name]
 		qm, qom := qrep.TC[tck], qorig.TC[tck]
 		qdm, qodm := qrep.Dst[tc.Dst.Name], qorig.Dst[tc.Dst.Name]
@@ -685,9 +637,9 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 				if trial.RouteFilter[harc.RFKey(tc.Dst.Name, s.ToProc.Name())] {
 					v = false
 				}
-				m[key] = v
+				trial.SetTC(tck, key, v)
 			case arc.SlotIntraSelf, arc.SlotIntraRedist:
-				m[key] = dm[key]
+				trial.SetTC(tck, key, dm[key])
 			case arc.SlotDest:
 				if _, ok := qdm[key]; !ok {
 					return nil, 0, nil, false
@@ -698,13 +650,13 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 					changes++
 					touched[s.FromProc.Device.Name] = true
 				}
-				m[key] = dm[key] && !now
+				trial.SetTC(tck, key, dm[key] && !now)
 			case arc.SlotInterDevice:
 				dev, planned := plan[key]
 				if !planned {
 					dev = origDm[key] && !origM[key]
 				}
-				m[key] = dm[key] && !dev
+				trial.SetTC(tck, key, dm[key] && !dev)
 			}
 		}
 	}

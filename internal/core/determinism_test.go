@@ -40,6 +40,27 @@ type comparableResult struct {
 	Stats    []ProblemStat
 }
 
+// checkSharing asserts the copy-on-write invariants after a repair: the
+// pre-repair state (and the solve cache's copy of it) still equals a
+// fresh StateOf — a write through a shared inner map would show here —
+// and every class outside Result.Touched still shares its maps with
+// Orig.
+func checkSharing(t *testing.T, h *harc.HARC, res *Result, cache *SolveCache) {
+	t.Helper()
+	fresh := harc.StateOf(h)
+	if !res.Orig.Equal(fresh) {
+		t.Fatal("Result.Orig no longer equals StateOf: a shared map was written")
+	}
+	if cache != nil {
+		if o := cache.OrigState(h); o != nil && !o.Equal(fresh) {
+			t.Fatal("the solve cache's OrigState no longer equals StateOf: a shared map was written")
+		}
+	}
+	if err := res.CheckTouched(h); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func project(res *Result) comparableResult {
 	stats := make([]ProblemStat, len(res.Stats))
 	copy(stats, res.Stats)
@@ -106,14 +127,17 @@ func TestRepairDeterministicAcrossParallelism(t *testing.T) {
 								// reuse every sub-problem and match the fresh result
 								// other runs produce without a cache.
 								opts.Cache = NewSolveCache("det-epoch")
-								if _, err := Repair(h, ps, opts); err != nil {
+								prime, err := Repair(h, ps, opts)
+								if err != nil {
 									t.Fatalf("prime Repair(parallelism=%d): %v", par, err)
 								}
+								checkSharing(t, h, prime, opts.Cache)
 							}
 							res, err := Repair(h, ps, opts)
 							if err != nil {
 								t.Fatalf("Repair(parallelism=%d): %v", par, err)
 							}
+							checkSharing(t, h, res, opts.Cache)
 							if !res.Solved {
 								t.Fatalf("Repair(parallelism=%d) unsolved: %+v", par, res.Stats)
 							}
@@ -179,6 +203,7 @@ func TestRepairDeterministicAcrossAlgorithmsAndParallelism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Repair(%v, parallelism=%d): %v", algo, par, err)
 				}
+				checkSharing(t, h, res, nil)
 				if !res.Solved {
 					t.Fatalf("Repair(%v, parallelism=%d) unsolved: %+v", algo, par, res.Stats)
 				}

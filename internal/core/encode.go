@@ -899,11 +899,10 @@ func (e *encoder) extract(out *harc.State) {
 		}
 	}
 	for dl, dst := range e.dsts {
-		dm := out.Dst[dst.Name]
 		for _, si := range e.tb.dst[dst.Name].slots {
 			key := e.tb.key[si]
 			if f := e.dVar[dl][si]; e.b.AllocatedVar(f) {
-				dm[key] = e.b.Value(f)
+				out.SetDst(dst.Name, key, e.b.Value(f))
 			}
 			switch e.tb.slots[si].Kind {
 			case arc.SlotIntraSelf:
@@ -919,10 +918,10 @@ func (e *encoder) extract(out *harc.State) {
 		}
 	}
 	for tl, tc := range e.tcs {
-		m := out.TC[tc.Key()]
-		for _, si := range e.tb.tc[tc.Key()].slots {
+		tck := tc.Key()
+		for _, si := range e.tb.tc[tck].slots {
 			if f := e.tVar[tl][si]; e.b.AllocatedVar(f) {
-				m[e.tb.key[si]] = e.b.Value(f)
+				out.SetTC(tck, e.tb.key[si], e.b.Value(f))
 			}
 		}
 	}

@@ -450,13 +450,13 @@ func entryFor(pr *problem) *solveEntry {
 	if pr.stat.Compressed {
 		e.realized = pr.realized
 		e.realizedChanges = pr.realizedChanges
-		e.bytes = approxStateBytes(pr.realized)
+		e.bytes = pr.realized.ApproxBytes()
 		return e
 	}
 	if pr.stat.Outcome == OutcomeSolved {
 		e.extracted = captureExtract(pr.enc)
 		e.model = pr.enc.s.ModelPhases()
-		e.bytes += approxStateBytes(e.extracted) + int64(len(e.model))
+		e.bytes += e.extracted.ApproxBytes() + int64(len(e.model))
 	}
 	e.enc = pr.enc
 	if pr.enc != nil {
@@ -465,17 +465,12 @@ func entryFor(pr *problem) *solveEntry {
 	return e
 }
 
-// captureExtract runs the encoder's model extraction once into a scratch
-// state pre-seeded with this problem's destination and traffic-class
-// submaps.
+// captureExtract runs the encoder's model extraction once into an empty
+// scratch state, which then holds exactly the entries extract writes
+// (SetDst/SetTC create the inner maps they write, owned by the scratch
+// state).
 func captureExtract(enc *encoder) *harc.State {
 	sc := harc.NewState()
-	for _, dst := range enc.dsts {
-		sc.Dst[dst.Name] = make(map[string]bool)
-	}
-	for _, tc := range enc.tcs {
-		sc.TC[tc.Key()] = make(map[string]bool)
-	}
 	enc.extract(sc)
 	return sc
 }
@@ -489,15 +484,13 @@ func applyExtracted(out, sc *harc.State) {
 		out.All[k] = v
 	}
 	for name, m := range sc.Dst {
-		dm := out.Dst[name]
 		for k, v := range m {
-			dm[k] = v
+			out.SetDst(name, k, v)
 		}
 	}
 	for key, m := range sc.TC {
-		tm := out.TC[key]
 		for k, v := range m {
-			tm[k] = v
+			out.SetTC(key, k, v)
 		}
 	}
 	for k, v := range sc.RouteFilter {
@@ -514,33 +507,6 @@ func applyExtracted(out, sc *harc.State) {
 			out.Waypoint[k] = true
 		}
 	}
-}
-
-// approxStateBytes estimates a state's heap footprint for the retained-
-// memory gauge.
-func approxStateBytes(st *harc.State) int64 {
-	if st == nil {
-		return 0
-	}
-	var n int64
-	perEntry := func(m map[string]bool) int64 {
-		var b int64
-		for k := range m {
-			b += int64(len(k)) + 24
-		}
-		return b
-	}
-	n += perEntry(st.All) + perEntry(st.Waypoint) + perEntry(st.RouteFilter) + perEntry(st.Static)
-	for k, m := range st.Dst {
-		n += int64(len(k)) + perEntry(m)
-	}
-	for k, m := range st.TC {
-		n += int64(len(k)) + perEntry(m)
-	}
-	for k := range st.Cost {
-		n += int64(len(k)) + 24
-	}
-	return n
 }
 
 // approxBytes estimates the heap retained by a live encoder: the SAT

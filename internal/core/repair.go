@@ -364,12 +364,34 @@ type Result struct {
 	// outside Touched were verified satisfied before the repair and their
 	// state is bit-identical to Orig's (waypoint additions only ever
 	// strengthen PC2), so VerifyRepairIncremental may skip them.
+	// CheckTouched verifies the claim.
 	Touched map[string]bool
 }
 
 // Usable reports that at least one sub-problem produced a verified
 // repair (solved or degraded) — the partial-result analogue of Solved.
 func (r *Result) Usable() bool { return len(r.Repaired) > 0 }
+
+// CheckTouched verifies Touched against the copy-on-write state: every
+// traffic class of h outside Touched must still share its tcETG map,
+// and its destination's dETG map, with Orig. A shared map was never
+// written, so sharing proves the class state is Orig's. It returns an
+// error naming the first class that breaks the claim.
+func (r *Result) CheckTouched(h *harc.HARC) error {
+	for _, tc := range h.TCs {
+		key := tc.Key()
+		if r.Touched[key] {
+			continue
+		}
+		if !r.State.SharesTC(r.Orig, key) {
+			return fmt.Errorf("core: class %s is outside Touched but its tcETG state was written", key)
+		}
+		if !r.State.SharesDst(r.Orig, tc.Dst.Name) {
+			return fmt.Errorf("core: class %s is outside Touched but dETG(%s) was written", key, tc.Dst.Name)
+		}
+	}
+	return nil
+}
 
 // problem is one MaxSMT sub-problem of the decomposition.
 type problem struct {
@@ -1014,7 +1036,6 @@ func impliedDst(st *harc.State, dst string, s *arc.Slot, staticProcs map[string]
 func realizeDstPresence(h *harc.HARC, orig, trial *harc.State, dst *topology.Subnet) {
 	origStatics := staticProcsOf(h, orig, dst.Name)
 	trialStatics := staticProcsOf(h, trial, dst.Name)
-	dm := trial.Dst[dst.Name]
 	for _, s := range h.Slots {
 		if !applicableDst(s, dst) {
 			continue
@@ -1022,7 +1043,7 @@ func realizeDstPresence(h *harc.HARC, orig, trial *harc.State, dst *topology.Sub
 		oldv := impliedDst(orig, dst.Name, s, origStatics)
 		newv := impliedDst(trial, dst.Name, s, trialStatics)
 		if oldv != newv {
-			dm[s.Key()] = newv
+			trial.SetDst(dst.Name, s.Key(), newv)
 		}
 	}
 }
@@ -1043,8 +1064,8 @@ func staticProcsOf(h *harc.HARC, st *harc.State, dst string) map[string]bool {
 // device), ACL-capable edges keep the greedy deviation where it deviated
 // and follow the parent where it was aligned.
 func realizeTCPresence(h *harc.HARC, orig, trial, gst *harc.State, tc topology.TrafficClass) {
-	m := trial.TC[tc.Key()]
-	gm := gst.TC[tc.Key()]
+	tck := tc.Key()
+	gm := gst.TC[tck]
 	gdm := gst.Dst[tc.Dst.Name]
 	dm := trial.Dst[tc.Dst.Name]
 	for _, s := range h.Slots {
@@ -1060,30 +1081,38 @@ func realizeTCPresence(h *harc.HARC, orig, trial, gst *harc.State, tc topology.T
 			if trial.RouteFilter[harc.RFKey(tc.Dst.Name, s.ToProc.Name())] {
 				v = false
 			}
-			m[key] = v
+			trial.SetTC(tck, key, v)
 		case arc.SlotIntraSelf, arc.SlotIntraRedist:
-			m[key] = dm[key]
+			trial.SetTC(tck, key, dm[key])
 		default:
 			if gm[key] == gdm[key] {
-				m[key] = dm[key] // aligned child follows the realized parent
+				trial.SetTC(tck, key, dm[key]) // aligned child follows the realized parent
 			} else {
-				m[key] = gm[key] && dm[key] // deviation (ACL) is preserved
+				trial.SetTC(tck, key, gm[key] && dm[key]) // deviation (ACL) is preserved
 			}
 		}
 	}
 }
 
 // mergeRealized copies a degraded or compressed problem's realized
-// state into the
-// shared repaired state: its destinations' dETG maps, its traffic
-// classes' maps, the per-destination construct entries (all keyed by
-// destination name), and any added waypoints.
+// state into the shared repaired state: its destinations' dETG maps, its
+// traffic classes' maps, the per-destination construct entries (all
+// keyed by destination name), and any added waypoints.
+//
+// The realized state was cloned from orig, so each of its inner maps
+// holds every key of orig's and overrides some values. Where out has not
+// written a class or destination yet (it still shares orig's map), the
+// merged map is therefore exactly the realized one, and out adopts it
+// instead of copying it; realized states are immutable once staged.
 func mergeRealized(h *harc.HARC, orig, out *harc.State, pr *problem) {
 	trial := pr.realized
 	for _, dst := range pr.dsts() {
-		dm, tdm := out.Dst[dst.Name], trial.Dst[dst.Name]
-		for key, v := range tdm {
-			dm[key] = v
+		if out.SharesDst(orig, dst.Name) {
+			out.AdoptDst(dst.Name, trial.Dst[dst.Name])
+		} else {
+			for key, v := range trial.Dst[dst.Name] {
+				out.SetDst(dst.Name, key, v)
+			}
 		}
 		prefix := dst.Name + "|"
 		for key, v := range trial.RouteFilter {
@@ -1098,9 +1127,13 @@ func mergeRealized(h *harc.HARC, orig, out *harc.State, pr *problem) {
 		}
 	}
 	for _, tc := range pr.tcs {
-		m, tm := out.TC[tc.Key()], trial.TC[tc.Key()]
-		for key, v := range tm {
-			m[key] = v
+		tck := tc.Key()
+		if out.SharesTC(orig, tck) {
+			out.AdoptTC(tck, trial.TC[tck])
+			continue
+		}
+		for key, v := range trial.TC[tck] {
+			out.SetTC(tck, key, v)
 		}
 	}
 	for link, v := range trial.Waypoint {
@@ -1133,7 +1166,6 @@ func applyFollowRules(h *harc.HARC, orig, out *harc.State, solvedDsts, solvedTCs
 		if solvedDsts[dst.Name] || !allChanged {
 			continue
 		}
-		dm := out.Dst[dst.Name]
 		origDm := orig.Dst[dst.Name]
 		for _, s := range h.Slots {
 			if !applicableDst(s, dst) || s.Kind == arc.SlotDest {
@@ -1141,7 +1173,7 @@ func applyFollowRules(h *harc.HARC, orig, out *harc.State, solvedDsts, solvedTCs
 			}
 			key := s.Key()
 			if origDm[key] == orig.All[key] {
-				dm[key] = out.All[key]
+				out.SetDst(dst.Name, key, out.All[key])
 			}
 		}
 	}
@@ -1152,8 +1184,8 @@ func applyFollowRules(h *harc.HARC, orig, out *harc.State, solvedDsts, solvedTCs
 		if !allChanged && !solvedDsts[tc.Dst.Name] {
 			continue // parent levels untouched; the child is already aligned
 		}
-		m := out.TC[tc.Key()]
-		origM := orig.TC[tc.Key()]
+		tck := tc.Key()
+		origM := orig.TC[tck]
 		dm := out.Dst[tc.Dst.Name]
 		origDm := orig.Dst[tc.Dst.Name]
 		for _, s := range h.Slots {
@@ -1162,7 +1194,7 @@ func applyFollowRules(h *harc.HARC, orig, out *harc.State, solvedDsts, solvedTCs
 			}
 			key := s.Key()
 			if origM[key] == origDm[key] {
-				m[key] = dm[key]
+				out.SetTC(tck, key, dm[key])
 			}
 		}
 	}

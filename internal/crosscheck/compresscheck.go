@@ -85,6 +85,11 @@ func CheckCompress(seed int64) error {
 		return fail("uncompressed repair error: %v", err)
 	}
 
+	for _, o := range []*cpr.RepairOutput{outOn, outOff} {
+		if detail := sharingDetail(sys, o); detail != "" {
+			return fail("repair state sharing: %s", detail)
+		}
+	}
 	if outOn.Solved() != outOff.Solved() {
 		return fail("solvability diverges: compressed solved=%v, uncompressed solved=%v",
 			outOn.Solved(), outOff.Solved())
@@ -104,6 +109,9 @@ func CheckCompress(seed int64) error {
 	outCv, err := sys.Repair(policies, optsCv)
 	if err != nil {
 		return fail("concrete-verify repair error: %v", err)
+	}
+	if detail := sharingDetail(sys, outCv); detail != "" {
+		return fail("concrete-verify repair state sharing: %s", detail)
 	}
 	if outCv.Solved() != outOn.Solved() {
 		return fail("verify modes diverge on verdict: concrete solved=%v, quotient solved=%v",

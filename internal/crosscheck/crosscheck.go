@@ -23,7 +23,12 @@
 // campaigns over them.
 package crosscheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro"
+	"repro/internal/harc"
+)
 
 // Divergence is a failed cross-check: the oracle and the production code
 // disagreed (or an internal invariant broke while checking). It carries
@@ -47,4 +52,25 @@ func (d *Divergence) Error() string {
 // divf builds a Divergence with a formatted detail message.
 func divf(oracle string, seed int64, format string, args ...interface{}) *Divergence {
 	return &Divergence{Oracle: oracle, Seed: seed, Detail: fmt.Sprintf(format, args...)}
+}
+
+// sharingDetail checks the copy-on-write invariants of one repair
+// output: the pre-repair state it reports (for a session, the solve
+// cache's memoized OrigState) must still equal a fresh StateOf of the
+// system — a write through a shared inner map would show here — and
+// every traffic class outside Result.Touched must still share its maps
+// with that state. It returns a description of the first violation, or
+// "".
+func sharingDetail(sys *cpr.System, out *cpr.RepairOutput) string {
+	res := out.Result
+	if res == nil || res.Orig == nil || res.State == nil {
+		return ""
+	}
+	if !res.Orig.Equal(harc.StateOf(sys.HARC)) {
+		return "pre-repair state no longer equals StateOf: a shared map was written"
+	}
+	if err := res.CheckTouched(sys.HARC); err != nil {
+		return err.Error()
+	}
+	return ""
 }

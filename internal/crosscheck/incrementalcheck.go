@@ -120,6 +120,12 @@ func CheckIncremental(seed int64) error {
 		if detail := diffRepairs(coldOut, incOut); detail != "" {
 			return fail(step, "incremental repair diverges from fresh solve: %s", detail)
 		}
+		if detail := sharingDetail(sess.System(), incOut); detail != "" {
+			return fail(step, "incremental repair state sharing: %s", detail)
+		}
+		if detail := sharingDetail(cold.System(), coldOut); detail != "" {
+			return fail(step, "fresh repair state sharing: %s", detail)
+		}
 
 		// Immediate replay: every sub-problem just solved (or reused) must
 		// now come from the cache, byte-identically.
@@ -133,6 +139,9 @@ func CheckIncremental(seed int64) error {
 		}
 		if detail := diffRepairs(coldOut, again); detail != "" {
 			return fail(step, "replayed repair diverges from fresh solve: %s", detail)
+		}
+		if detail := sharingDetail(sess.System(), again); detail != "" {
+			return fail(step, "replayed repair state sharing: %s", detail)
 		}
 	}
 	return nil

@@ -84,6 +84,9 @@ func CheckRepair(seed int64) error {
 	if !out.Solved() {
 		return fail("repair did not solve a repairable instance (%s, %s)", opts.Granularity, opts.Algorithm)
 	}
+	if detail := sharingDetail(sys, out); detail != "" {
+		return fail("repair state sharing: %s", detail)
+	}
 
 	// Patch fidelity: replaying the recorded line changes onto an
 	// independent parse of the broken configs must reproduce exactly the

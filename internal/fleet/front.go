@@ -14,6 +14,7 @@ import (
 	"time"
 
 	cpr "repro"
+	"repro/internal/server"
 )
 
 // Config tunes the front tier; zero values select the documented
@@ -54,7 +55,8 @@ type Config struct {
 	// ForwardTimeout bounds one forwarded attempt (default 0: inherit the
 	// client request's deadline).
 	ForwardTimeout time.Duration
-	// MaxBodyBytes caps forwarded request bodies (default 64 MiB).
+	// MaxBodyBytes caps forwarded request bodies (default
+	// server.MaxBodyBytes, the replicas' own limit).
 	MaxBodyBytes int64
 }
 
@@ -88,7 +90,7 @@ func (c Config) withDefaults() Config {
 		c.SessionReplicas = 2
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
+		c.MaxBodyBytes = server.MaxBodyBytes
 	}
 	return c
 }

@@ -38,7 +38,7 @@ type Result struct {
 // PrimaryPath policies yield an error (the inverse-shortest-path problem
 // is out of the baseline's scope, §5).
 func Repair(h *harc.HARC, policies []policy.Policy) (*Result, error) {
-	st := harc.StateOf(h).Clone()
+	st := harc.StateOf(h)
 	changes := 0
 	for _, p := range policies {
 		if policy.CheckState(h, st, p) {
@@ -100,9 +100,8 @@ func repairPC1(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	if len(cut) == 0 && etg.G.PathExists(etg.Src, etg.Dst) {
 		return 0, fmt.Errorf("greedy: PC1 min-cut failed for %s", p.TC)
 	}
-	m := st.TC[p.TC.Key()]
 	for _, e := range cut {
-		m[etg.SlotOf[e].Key()] = false
+		st.SetTC(p.TC.Key(), etg.SlotOf[e].Key(), false)
 	}
 	return len(cut), nil
 }
@@ -166,19 +165,18 @@ func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 		return 0, fmt.Errorf("greedy: topology supports only %d disjoint paths for %s (need %d)", len(paths), p.TC, p.K)
 	}
 	changes := 0
-	m := st.TC[p.TC.Key()]
-	dm := st.Dst[p.TC.Dst.Name]
+	tck, dstName := p.TC.Key(), p.TC.Dst.Name
 	for _, path := range paths[:p.K] {
 		for i := 0; i+1 < len(path); i++ {
 			e := full.FindEdge(path[i], path[i+1])
 			s := slotOf[e]
 			key := s.Key()
-			if s.Kind != arc.SlotSource && !dm[key] {
-				dm[key] = true // realized by a static route
+			if s.Kind != arc.SlotSource && !st.Dst[dstName][key] {
+				st.SetDst(dstName, key, true) // realized by a static route
 				changes++
 			}
-			if !m[key] {
-				m[key] = true // realized by removing an ACL deny
+			if !st.TC[tck][key] {
+				st.SetTC(tck, key, true) // realized by removing an ACL deny
 				changes++
 			}
 		}

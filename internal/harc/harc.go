@@ -11,6 +11,8 @@ package harc
 
 import (
 	"fmt"
+	"net/netip"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -193,6 +195,14 @@ func CostKey(s *arc.Slot) string {
 // shared edge costs: the search space of the repair engine. Maps are
 // keyed by Slot.Key(); absent keys mean "absent edge". Costs are keyed by
 // CostKey.
+//
+// States are copy-on-write at the granularity of one traffic class or
+// one destination: Clone shares every inner TC and Dst map with its
+// source, and SetTC/SetDst copy an inner map the first time a write
+// changes one of its values. Code holding a State that may share inner
+// maps must therefore never write an inner map directly; the flat maps
+// (All, Cost, Waypoint, RouteFilter, Static) are copied by Clone and may
+// be written freely.
 type State struct {
 	All  map[string]bool
 	Dst  map[string]map[string]bool // dst subnet name → slot key → present
@@ -207,6 +217,11 @@ type State struct {
 	// maps are derived from; the translator reads them directly.
 	RouteFilter map[string]bool
 	Static      map[string]bool
+
+	// ownTC and ownDst name the inner maps this state copied (or
+	// created) through SetTC/SetDst and may therefore write in place.
+	// Every other inner map may be shared with another state.
+	ownTC, ownDst map[string]bool
 }
 
 // RFKey builds a RouteFilter key.
@@ -228,39 +243,171 @@ func NewState() *State {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy that shares every inner TC and Dst map with st
+// and copies the flat maps. Afterwards neither state owns a shared inner
+// map, so a later SetTC/SetDst on either copies before writing. Cloning
+// a state that owns no inner map (any StateOf result) does not modify
+// it, so such a state may be cloned concurrently.
 func (st *State) Clone() *State {
-	c := NewState()
-	for k, v := range st.All {
-		c.All[k] = v
+	c := &State{
+		All:         copyMap(st.All),
+		Dst:         make(map[string]map[string]bool, len(st.Dst)),
+		TC:          make(map[string]map[string]bool, len(st.TC)),
+		Cost:        copyMap(st.Cost),
+		Waypoint:    copyMap(st.Waypoint),
+		RouteFilter: copyMap(st.RouteFilter),
+		Static:      copyMap(st.Static),
 	}
 	for d, m := range st.Dst {
-		cm := make(map[string]bool, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		c.Dst[d] = cm
+		c.Dst[d] = m
 	}
 	for t, m := range st.TC {
-		cm := make(map[string]bool, len(m))
-		for k, v := range m {
-			cm[k] = v
-		}
-		c.TC[t] = cm
+		c.TC[t] = m
 	}
-	for k, v := range st.Cost {
-		c.Cost[k] = v
+	if st.ownTC != nil {
+		st.ownTC = nil
 	}
-	for k, v := range st.Waypoint {
-		c.Waypoint[k] = v
-	}
-	for k, v := range st.RouteFilter {
-		c.RouteFilter[k] = v
-	}
-	for k, v := range st.Static {
-		c.Static[k] = v
+	if st.ownDst != nil {
+		st.ownDst = nil
 	}
 	return c
+}
+
+func copyMap[V any](m map[string]V) map[string]V {
+	c := make(map[string]V, len(m))
+	for k, v := range m {
+		c[k] = v
+	}
+	return c
+}
+
+// SetTC records slot's presence v in traffic class tc's map. A write
+// that leaves the map unchanged (the slot already holds v) is a no-op;
+// otherwise a map this state does not own is copied first, so states it
+// shares the map with never see the write.
+func (st *State) SetTC(tc, slot string, v bool) {
+	setInner(st.TC, &st.ownTC, tc, slot, v)
+}
+
+// SetDst is SetTC for destination dst's map.
+func (st *State) SetDst(dst, slot string, v bool) {
+	setInner(st.Dst, &st.ownDst, dst, slot, v)
+}
+
+func setInner(outer map[string]map[string]bool, own *map[string]bool, key, slot string, v bool) {
+	m := outer[key]
+	if old, ok := m[slot]; ok && old == v {
+		return
+	}
+	if !(*own)[key] {
+		m = copyMap(m)
+		outer[key] = m
+		if *own == nil {
+			*own = make(map[string]bool)
+		}
+		(*own)[key] = true
+	}
+	m[slot] = v
+}
+
+// AdoptTC makes m traffic class tc's map, shared: the state does not
+// own it, so a later SetTC copies it first. The caller must not write m
+// afterwards either.
+func (st *State) AdoptTC(tc string, m map[string]bool) {
+	st.TC[tc] = m
+	delete(st.ownTC, tc)
+}
+
+// AdoptDst is AdoptTC for destination dst's map.
+func (st *State) AdoptDst(dst string, m map[string]bool) {
+	st.Dst[dst] = m
+	delete(st.ownDst, dst)
+}
+
+// SharesTC reports whether st and o hold the same map object for
+// traffic class tc — in which case the two states agree on the class
+// without comparing its entries. Two absent maps count as shared.
+func (st *State) SharesTC(o *State, tc string) bool {
+	return sameMap(st.TC[tc], o.TC[tc])
+}
+
+// SharesDst is SharesTC for destination dst's map.
+func (st *State) SharesDst(o *State, dst string) bool {
+	return sameMap(st.Dst[dst], o.Dst[dst])
+}
+
+func sameMap(a, b map[string]bool) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// ApproxBytes estimates the heap this state holds on its own: its flat
+// maps, its outer TC/Dst maps, and the inner maps it owns. Inner maps
+// shared with the state it was cloned from are that state's to count,
+// so a retained repair state is charged for what its repair changed,
+// not again for the whole network.
+func (st *State) ApproxBytes() int64 {
+	if st == nil {
+		return 0
+	}
+	perEntry := func(m map[string]bool) int64 {
+		var b int64
+		for k := range m {
+			b += int64(len(k)) + 24
+		}
+		return b
+	}
+	n := perEntry(st.All) + perEntry(st.Waypoint) + perEntry(st.RouteFilter) + perEntry(st.Static)
+	for k := range st.Cost {
+		n += int64(len(k)) + 24
+	}
+	for k, m := range st.Dst {
+		n += int64(len(k)) + 16
+		if st.ownDst[k] {
+			n += perEntry(m)
+		}
+	}
+	for k, m := range st.TC {
+		n += int64(len(k)) + 16
+		if st.ownTC[k] {
+			n += perEntry(m)
+		}
+	}
+	return n
+}
+
+// Equal reports whether two states hold the same entries in every map,
+// explicit false entries included. Sharing is not compared.
+func (st *State) Equal(o *State) bool {
+	if len(st.Dst) != len(o.Dst) || len(st.TC) != len(o.TC) {
+		return false
+	}
+	for d, m := range st.Dst {
+		om, ok := o.Dst[d]
+		if !ok || !mapsEqual(m, om) {
+			return false
+		}
+	}
+	for t, m := range st.TC {
+		om, ok := o.TC[t]
+		if !ok || !mapsEqual(m, om) {
+			return false
+		}
+	}
+	return mapsEqual(st.All, o.All) && mapsEqual(st.Cost, o.Cost) &&
+		mapsEqual(st.Waypoint, o.Waypoint) && mapsEqual(st.RouteFilter, o.RouteFilter) &&
+		mapsEqual(st.Static, o.Static)
+}
+
+func mapsEqual[V comparable](a, b map[string]V) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if bv, ok := b[k]; !ok || bv != v {
+			return false
+		}
+	}
+	return true
 }
 
 // StateOf extracts the current state of the HARC: presence of every slot
@@ -269,7 +416,16 @@ func (st *State) Clone() *State {
 // on one worker per core (the concrete maps are staged per index and
 // merged serially, so the result is deterministic).
 func StateOf(h *HARC) *State {
-	st := NewState()
+	sz := sizesOf(h)
+	st := &State{
+		All:         make(map[string]bool, sz.core),
+		Dst:         make(map[string]map[string]bool, len(h.Dsts)),
+		TC:          make(map[string]map[string]bool, len(h.TCs)),
+		Cost:        make(map[string]int64, sz.inter),
+		Waypoint:    make(map[string]bool, len(h.Network.Links)),
+		RouteFilter: make(map[string]bool, sz.self*len(h.Dsts)),
+		Static:      make(map[string]bool, sz.inter*len(h.Dsts)),
+	}
 	for _, s := range h.Slots {
 		key := s.Key()
 		if s.Kind != arc.SlotSource && s.Kind != arc.SlotDest {
@@ -305,10 +461,12 @@ func StateOf(h *HARC) *State {
 					return
 				}
 				if i < len(h.Dsts) {
-					dstOut[i] = dstMaps{m: stateOfDst(h, h.Dsts[i])}
-					dstOut[i].rf, dstOut[i].static = stateOfConstructs(h, h.Dsts[i])
+					dst := h.Dsts[i]
+					dstOut[i] = dstMaps{m: stateOfDst(h, dst, sz.core+sz.dst[dst])}
+					dstOut[i].rf, dstOut[i].static = stateOfConstructs(h, dst, sz)
 				} else {
-					tcOut[i-len(h.Dsts)] = stateOfTC(h, h.TCs[i-len(h.Dsts)])
+					tc := h.TCs[i-len(h.Dsts)]
+					tcOut[i-len(h.Dsts)] = stateOfTC(h, tc, sz.core+sz.src[tc.Src]+sz.dst[tc.Dst])
 				}
 			}
 		}()
@@ -327,6 +485,35 @@ func StateOf(h *HARC) *State {
 		st.TC[tc.Key()] = tcOut[i]
 	}
 	return st
+}
+
+// stateSizes counts a HARC's slots by the maps StateOf files them in, so
+// every map can be allocated at its final size instead of growing:
+// core slots (neither attachment kind) appear at every level, attachment
+// slots only in the classes and destinations of their subnet.
+type stateSizes struct {
+	core, self, inter int
+	src, dst          map[*topology.Subnet]int
+}
+
+func sizesOf(h *HARC) stateSizes {
+	sz := stateSizes{src: map[*topology.Subnet]int{}, dst: map[*topology.Subnet]int{}}
+	for _, s := range h.Slots {
+		switch s.Kind {
+		case arc.SlotSource:
+			sz.src[s.Subnet]++
+			continue
+		case arc.SlotDest:
+			sz.dst[s.Subnet]++
+			continue
+		case arc.SlotIntraSelf:
+			sz.self++
+		case arc.SlotInterDevice:
+			sz.inter++
+		}
+		sz.core++
+	}
+	return sz
 }
 
 // slotTouches reports whether a slot's presence can depend on the
@@ -467,6 +654,141 @@ func StateOfDelta(h *HARC, base *State, changed map[string]bool) *State {
 	return st
 }
 
+// DeltaMatches reports whether StateOf(h) equals want on every map a
+// policy check reads — per-class and per-destination presence for h's
+// classes and destinations, costs and waypoints — without computing it,
+// given that orig is the state of base's HARC and h's network differs
+// from base's only in the configurations of the devices in changed.
+// It is StateOfDelta's locality argument turned into a comparison:
+// slots touching a changed device are re-derived from h and compared
+// with want; every other slot must hold its orig value in want, which
+// is free for an inner map want still shares with orig.
+//
+// A false result proves nothing — it also covers every case the
+// argument does not apply to: h and base differ in slot keys, devices,
+// links, subnets or subnet prefixes (remote ACL matching reads
+// prefixes network-wide), or orig lacks one of h's classes or
+// destinations. Callers fall back to a full StateOf comparison.
+func DeltaMatches(h, base *HARC, orig, want *State, changed map[string]bool) bool {
+	if !sameShape(h, base) {
+		return false
+	}
+	cost := make(map[string]int64, len(want.Cost))
+	var touched []*arc.Slot
+	touchedKey := make(map[string]bool)
+	for _, s := range h.Slots {
+		if ck := CostKey(s); ck != "" {
+			cost[ck] = int64(s.FromIntf.Cost)
+		}
+		if slotTouches(s, changed) {
+			touched = append(touched, s)
+			touchedKey[s.Key()] = true
+		}
+	}
+	if !mapsEqual(cost, want.Cost) || len(want.Waypoint) != len(h.Network.Links) {
+		return false
+	}
+	for _, l := range h.Network.Links {
+		if v, ok := want.Waypoint[l.Name()]; !ok || v != l.Waypoint {
+			return false
+		}
+	}
+	// untouchedMatch checks want's map against orig's on every slot no
+	// changed device can affect, plus the key count: orig's map holds
+	// exactly the applicable slots (base and h have the same slot keys),
+	// so with every touched key checked below, equal counts mean equal
+	// key sets.
+	untouchedMatch := func(wm, om map[string]bool) bool {
+		if om == nil || len(wm) != len(om) {
+			return false
+		}
+		if sameMap(wm, om) {
+			return true
+		}
+		for k, v := range om {
+			if touchedKey[k] {
+				continue
+			}
+			if wv, ok := wm[k]; !ok || wv != v {
+				return false
+			}
+		}
+		return true
+	}
+	for _, dst := range h.Dsts {
+		wm := want.Dst[dst.Name]
+		if !untouchedMatch(wm, orig.Dst[dst.Name]) {
+			return false
+		}
+		for _, s := range touched {
+			if s.Kind == arc.SlotSource || (s.Kind == arc.SlotDest && s.Subnet != dst) {
+				continue
+			}
+			if v, ok := wm[s.Key()]; !ok || v != s.PresentDst(dst) {
+				return false
+			}
+		}
+	}
+	for _, tc := range h.TCs {
+		key := tc.Key()
+		wm := want.TC[key]
+		if !untouchedMatch(wm, orig.TC[key]) {
+			return false
+		}
+		for _, s := range touched {
+			if (s.Kind == arc.SlotSource && s.Subnet != tc.Src) || (s.Kind == arc.SlotDest && s.Subnet != tc.Dst) {
+				continue
+			}
+			if v, ok := wm[s.Key()]; !ok || v != s.PresentTC(tc) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameShape reports whether two HARCs have the same devices, links,
+// subnets (by name and prefix) and slot keys: the structure the
+// locality argument of DeltaMatches and StateOfDelta assumes fixed.
+func sameShape(h, base *HARC) bool {
+	if len(h.Slots) != len(base.Slots) {
+		return false
+	}
+	for _, s := range h.Slots {
+		if base.ByKey[s.Key()] == nil {
+			return false
+		}
+	}
+	hn, bn := h.Network, base.Network
+	if len(hn.Subnets) != len(bn.Subnets) || len(hn.Links) != len(bn.Links) || len(hn.Devices()) != len(bn.Devices()) {
+		return false
+	}
+	prefixes := make(map[string]netip.Prefix, len(bn.Subnets))
+	for _, sn := range bn.Subnets {
+		prefixes[sn.Name] = sn.Prefix
+	}
+	for _, sn := range hn.Subnets {
+		if p, ok := prefixes[sn.Name]; !ok || p != sn.Prefix {
+			return false
+		}
+	}
+	links := make(map[string]bool, len(bn.Links))
+	for _, l := range bn.Links {
+		links[l.Name()] = true
+	}
+	for _, l := range hn.Links {
+		if !links[l.Name()] {
+			return false
+		}
+	}
+	for _, d := range hn.Devices() {
+		if bn.Device(d.Name) == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // stateOfDstDelta is stateOfDst with unchanged slots copied from base.
 func stateOfDstDelta(h *HARC, base *State, dst *topology.Subnet, changed map[string]bool) (map[string]bool, bool) {
 	bm := base.Dst[dst.Name]
@@ -544,8 +866,8 @@ func stateOfTCDelta(h *HARC, base *State, tc topology.TrafficClass, changed map[
 }
 
 // stateOfDst computes one destination's dETG presence map.
-func stateOfDst(h *HARC, dst *topology.Subnet) map[string]bool {
-	m := make(map[string]bool)
+func stateOfDst(h *HARC, dst *topology.Subnet, size int) map[string]bool {
+	m := make(map[string]bool, size)
 	for _, s := range h.Slots {
 		if s.Kind == arc.SlotSource {
 			continue
@@ -560,9 +882,9 @@ func stateOfDst(h *HARC, dst *topology.Subnet) map[string]bool {
 
 // stateOfConstructs computes one destination's route-filter and
 // static-route construct maps.
-func stateOfConstructs(h *HARC, dst *topology.Subnet) (rf, static map[string]bool) {
-	rf = make(map[string]bool)
-	static = make(map[string]bool)
+func stateOfConstructs(h *HARC, dst *topology.Subnet, sz stateSizes) (rf, static map[string]bool) {
+	rf = make(map[string]bool, sz.self)
+	static = make(map[string]bool, sz.inter)
 	for _, s := range h.Slots {
 		switch s.Kind {
 		case arc.SlotIntraSelf:
@@ -576,8 +898,8 @@ func stateOfConstructs(h *HARC, dst *topology.Subnet) (rf, static map[string]boo
 }
 
 // stateOfTC computes one traffic class's tcETG presence map.
-func stateOfTC(h *HARC, tc topology.TrafficClass) map[string]bool {
-	m := make(map[string]bool)
+func stateOfTC(h *HARC, tc topology.TrafficClass, size int) map[string]bool {
+	m := make(map[string]bool, size)
 	for _, s := range h.Slots {
 		if s.Kind == arc.SlotSource && s.Subnet != tc.Src {
 			continue

@@ -137,10 +137,20 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// MaxBodyBytes caps every request body. It is the fleet front tier's
+// default forwarding limit, so a body the front accepts is never
+// refused by the replica it lands on.
+const MaxBodyBytes = 64 << 20
+
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "bad request body: larger than %d bytes", tooBig.Limit)
+			return false
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -465,5 +466,46 @@ func TestGracefulConfigDefaults(t *testing.T) {
 	neg := Config{QueueDepth: -1}.withDefaults()
 	if neg.QueueDepth != 0 {
 		t.Errorf("negative queue depth → %d, want 0", neg.QueueDepth)
+	}
+}
+
+// filler is an endless stream of 'x' bytes.
+type filler struct{}
+
+func (filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// TestRequestBodyCapped streams a body one byte over MaxBodyBytes to
+// every JSON endpoint: each must answer 413 with a labeled error after
+// reading at most the cap, never buffering the rest.
+func TestRequestBodyCapped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/load", "/v1/delta", "/v1/verify", "/v1/explain", "/v1/repair"} {
+		t.Run(path, func(t *testing.T) {
+			body := io.MultiReader(
+				strings.NewReader(`{"configs":{"a":"`),
+				io.LimitReader(filler{}, MaxBodyBytes+1),
+				strings.NewReader(`"}}`),
+			)
+			resp, err := http.Post(ts.URL+path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status = %d, want 413", resp.StatusCode)
+			}
+			var er errorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(er.Error, "larger than") {
+				t.Fatalf("error %q is not labeled with the limit", er.Error)
+			}
+		})
 	}
 }

@@ -325,10 +325,16 @@ func (t *translator) interfaceCosts() error {
 }
 
 // acls handles tcETG deviations (Table 3: "remove tc from ACL" and the
-// inverse) for inter-device edges and subnet attachment edges.
+// inverse) for inter-device edges and subnet attachment edges. A class
+// whose tcETG and dETG maps the repaired state still shares with the
+// original (see harc.State) cannot have a deviation change, so only the
+// classes the repair wrote are scanned.
 func (t *translator) acls() error {
 	for _, tc := range t.h.TCs {
 		key := tc.Key()
+		if t.rep.SharesTC(t.orig, key) && t.rep.SharesDst(t.orig, tc.Dst.Name) {
+			continue
+		}
 		origM, newM := t.orig.TC[key], t.rep.TC[key]
 		origDM, newDM := t.orig.Dst[tc.Dst.Name], t.rep.Dst[tc.Dst.Name]
 		for _, s := range t.h.Slots {
@@ -436,6 +442,9 @@ func ImpactedTCs(h *harc.HARC, orig, repaired *harc.State) []topology.TrafficCla
 	var out []topology.TrafficClass
 	for _, tc := range h.TCs {
 		key := tc.Key()
+		if len(changedCosts) == 0 && len(changedWPs) == 0 && repaired.SharesTC(orig, key) {
+			continue // a shared map has no presence change to find
+		}
 		origM, newM := orig.TC[key], repaired.TC[key]
 		impacted := false
 		for _, s := range h.Slots {

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -102,13 +103,13 @@ func TestTable3StaticRouteAddition(t *testing.T) {
 			slotKey = s.Key()
 		}
 	}
-	rep.Dst["T"][slotKey] = true
+	rep.SetDst("T", slotKey, true)
 	rep.Static[harc.StaticKey("T", slotKey)] = true
 	// Children follow: the new edge appears in every tcETG toward T
 	// (destination-based routing, no ACLs added).
 	for _, tc := range h.TCs {
 		if tc.Dst.Name == "T" {
-			rep.TC[tc.Key()][slotKey] = true
+			rep.SetTC(tc.Key(), slotKey, true)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -127,6 +128,45 @@ func TestTable3StaticRouteAddition(t *testing.T) {
 	}
 	if a.Statics[0].NextHop != netip.MustParseAddr("10.0.2.3") {
 		t.Errorf("static next hop %s", a.Statics[0].NextHop)
+	}
+}
+
+// TestDstOnlyChangeStillScansACLs covers a class whose tcETG map the
+// repaired state still shares with the original while its destination's
+// dETG map changed: the new A->C edge toward T is not followed by the
+// classes, so each needs a deny. The ACL pass may skip a class only when
+// both maps are shared.
+func TestDstOnlyChangeStillScansACLs(t *testing.T) {
+	cfgs, n := parseFigure2a(t)
+	h := harc.Build(n)
+	orig := harc.StateOf(h)
+	rep := orig.Clone()
+	var slotKey string
+	for _, s := range h.Slots {
+		if s.Kind.String() == "inter" && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "C" {
+			slotKey = s.Key()
+		}
+	}
+	rep.SetDst("T", slotKey, true)
+	rep.Static[harc.StaticKey("T", slotKey)] = true
+	plan, err := Translate(h, orig, rep, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	denies := 0
+	for _, lc := range plan.Lines {
+		if lc.Device == "C" && strings.Contains(lc.Line, "deny") {
+			denies++
+		}
+	}
+	want := 0
+	for _, tc := range h.TCs {
+		if tc.Dst.Name == "T" && rep.SharesTC(orig, tc.Key()) && !orig.TC[tc.Key()][slotKey] {
+			want++
+		}
+	}
+	if want == 0 || denies != want {
+		t.Fatalf("got %d denies on C, want one per excluded class toward T (%d):\n%s", denies, want, plan)
 	}
 }
 
@@ -156,7 +196,7 @@ func TestTable3StaticRouteRemoval(t *testing.T) {
 			if !orig.Dst["T"][s.Key()] {
 				t.Fatal("static-backed edge should be present initially")
 			}
-			rep.Dst["T"][s.Key()] = false
+			rep.SetDst("T", s.Key(), false)
 			rep.Static[harc.StaticKey("T", s.Key())] = false
 		}
 	}
@@ -183,7 +223,7 @@ func TestTable3ACLChanges(t *testing.T) {
 	// in the dETG).
 	for _, sl := range h.Slots {
 		if sl.Kind.String() == "inter" && sl.FromProc.Device.Name == "A" && sl.ToProc.Device.Name == "B" {
-			rep.TC[tcSU.Key()][sl.Key()] = true
+			rep.SetTC(tcSU.Key(), sl.Key(), true)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -213,7 +253,7 @@ func TestTable3ACLAddition(t *testing.T) {
 	// Block S->T on the B->C hop (tcETG-only removal).
 	for _, sl := range h.Slots {
 		if sl.Kind.String() == "inter" && sl.FromProc.Device.Name == "B" && sl.ToProc.Device.Name == "C" {
-			rep.TC[tcST.Key()][sl.Key()] = false
+			rep.SetTC(tcST.Key(), sl.Key(), false)
 		}
 	}
 	plan, err := Translate(h, orig, rep, cfgs)
@@ -248,10 +288,10 @@ func TestTable3RouteFilter(t *testing.T) {
 		}
 	}
 	for _, key := range removed {
-		rep.Dst["U"][key] = false
+		rep.SetDst("U", key, false)
 		for _, tc := range h.TCs {
 			if tc.Dst.Name == "U" {
-				rep.TC[tc.Key()][key] = false
+				rep.SetTC(tc.Key(), key, false)
 			}
 		}
 	}
@@ -283,10 +323,10 @@ func TestTable3AdjacencyEnableDisable(t *testing.T) {
 		if devs == "AC" || devs == "CA" {
 			rep.All[s.Key()] = true
 			for _, d := range []string{"T", "U", "R", "S"} {
-				rep.Dst[d][s.Key()] = true
+				rep.SetDst(d, s.Key(), true)
 			}
 			for _, tc := range h.TCs {
-				rep.TC[tc.Key()][s.Key()] = true
+				rep.SetTC(tc.Key(), s.Key(), true)
 			}
 		}
 	}
@@ -311,10 +351,10 @@ func TestTable3AdjacencyEnableDisable(t *testing.T) {
 		if devs == "AB" || devs == "BA" {
 			rep2.All[s.Key()] = false
 			for _, d := range []string{"T", "U", "R", "S"} {
-				rep2.Dst[d][s.Key()] = false
+				rep2.SetDst(d, s.Key(), false)
 			}
 			for _, tc := range h2.TCs {
-				rep2.TC[tc.Key()][s.Key()] = false
+				rep2.SetTC(tc.Key(), s.Key(), false)
 			}
 		}
 	}
@@ -369,7 +409,7 @@ func TestImpactedTCs(t *testing.T) {
 	tcSU := topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("U")}
 	for _, s := range h.Slots {
 		if s.Kind.String() == "inter" && s.FromProc.Device.Name == "A" && s.ToProc.Device.Name == "B" {
-			rep.TC[tcSU.Key()][s.Key()] = true
+			rep.SetTC(tcSU.Key(), s.Key(), true)
 		}
 	}
 	impacted := ImpactedTCs(h, orig, rep)
@@ -409,10 +449,10 @@ func TestTranslateMissingConfig(t *testing.T) {
 	orig := harc.StateOf(h)
 	rep := orig.Clone()
 	// Force a change on C.
-	rep.Dst["U"]["self:C:ospf10"] = false
+	rep.SetDst("U", "self:C:ospf10", false)
 	for _, tc := range h.TCs {
 		if tc.Dst.Name == "U" {
-			rep.TC[tc.Key()]["self:C:ospf10"] = false
+			rep.SetTC(tc.Key(), "self:C:ospf10", false)
 		}
 	}
 	if _, err := Translate(h, orig, rep, cfgs); err == nil {
