@@ -178,17 +178,11 @@ func BenchmarkAblationGranularityAllTCs(b *testing.B) {
 	benchDCRepair(b, opts)
 }
 
-// MaxSAT algorithm ablation (linear descent vs core-guided Fu-Malik vs
-// stratified OLL, the default).
+// MaxSAT algorithm ablation (linear descent vs stratified OLL, the
+// default).
 func BenchmarkAblationMaxSATLinear(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.Algorithm = maxsat.LinearDescent
-	benchDCRepair(b, opts)
-}
-
-func BenchmarkAblationMaxSATFuMalik(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.Algorithm = maxsat.FuMalik
 	benchDCRepair(b, opts)
 }
 

@@ -81,14 +81,14 @@ func TestRunRepairWritesPatchedConfigs(t *testing.T) {
 	}
 }
 
-func TestRunFuMalikAndAllTCs(t *testing.T) {
+func TestRunLinearAndAllTCs(t *testing.T) {
 	dir := writeFigure2a(t)
 	spec := filepath.Join(dir, "policies.spec")
 	if err := os.WriteFile(spec, []byte("reachable S T 2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "all-tcs", Algorithm: "fu-malik", Parallelism: 1}, 0); err != nil {
-		t.Fatalf("all-tcs/fu-malik: %v", err)
+	if err := run(dir, spec, "", false, true, cpr.OptionFlags{Granularity: "all-tcs", Algorithm: "linear", Parallelism: 1}, 0); err != nil {
+		t.Fatalf("all-tcs/linear: %v", err)
 	}
 }
 

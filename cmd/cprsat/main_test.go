@@ -49,7 +49,7 @@ func TestCNFUnsat(t *testing.T) {
 
 func TestWCNFOptimum(t *testing.T) {
 	in := "p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n1 -2 0\n"
-	for _, algo := range []string{"linear", "fu-malik"} {
+	for _, algo := range []string{"oll", "linear"} {
 		got := runCapture(t, in, algo)
 		if !strings.Contains(got, "o 1") || !strings.Contains(got, "s OPTIMUM FOUND") {
 			t.Errorf("%s output: %s", algo, got)

@@ -71,11 +71,11 @@ func TestOptionFlagsResolve(t *testing.T) {
 	if err != nil || opts != DefaultOptions() {
 		t.Errorf("zero flags = %+v, %v; want defaults", opts, err)
 	}
-	opts, err = OptionFlags{Granularity: "all-tcs", Algorithm: "fu-malik", Objective: "min-devices", Parallelism: 4, ConflictBudget: 100}.Resolve()
+	opts, err = OptionFlags{Granularity: "all-tcs", Algorithm: "linear", Objective: "min-devices", Parallelism: 4, ConflictBudget: 100}.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Granularity != AllTCs || opts.Objective != MinDevices || opts.Parallelism != 4 || opts.ConflictBudget != 100 {
+	if opts.Granularity != AllTCs || opts.Algorithm.String() != "linear" || opts.Objective != MinDevices || opts.Parallelism != 4 || opts.ConflictBudget != 100 {
 		t.Errorf("resolved = %+v", opts)
 	}
 	for _, bad := range []OptionFlags{

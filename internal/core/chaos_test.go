@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -182,6 +184,43 @@ func TestChaosCampaign(t *testing.T) {
 	}
 }
 
+// TestChaosIsolationOffReturnsSolveError: without isolation a solver
+// panic or an encode error aborts the whole batch as a typed error —
+// never a process crash — with no Result, and the cancelled siblings
+// leak no goroutines.
+func TestChaosIsolationOffReturnsSolveError(t *testing.T) {
+	inst := dcInstance(t)
+	h := inst.Harc()
+	opts := DefaultOptions()
+	opts.Isolation = IsolationOff
+	opts.Parallelism = 3
+	defer faultinject.Reset()
+
+	g0 := runtime.NumGoroutine()
+	for _, tc := range []struct{ site, spec string }{
+		{faultinject.SATSolvePanic, "panic"},
+		{faultinject.CoreEncodeError, "error"},
+	} {
+		faultinject.Reset()
+		if err := faultinject.Set(tc.site, tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Repair(h, inst.Policies, opts)
+		var se *SolveError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want a *SolveError", tc.site, err)
+		}
+		if res != nil {
+			t.Errorf("%s: aborted repair returned a Result", tc.site)
+		}
+		if (se.Panic != nil) != (tc.site == faultinject.SATSolvePanic) {
+			t.Errorf("%s: SolveError panic = %v", tc.site, se.Panic)
+		}
+	}
+	faultinject.Reset()
+	waitGoroutines(t, g0)
+}
+
 // TestDegradedFallbackVerifies pins the degradation path end to end on a
 // deterministic instance: with the solver permanently starved, the PC3
 // problem must fall back to the greedy baseline, be realized as
@@ -211,8 +250,8 @@ func TestDegradedFallbackVerifies(t *testing.T) {
 	if st.Outcome != OutcomeDegraded || st.Fallback != "greedy" {
 		t.Errorf("stat = outcome %s fallback %q, want degraded via greedy", st.Outcome, st.Fallback)
 	}
-	if st.Attempts != defaultRetryAttempts {
-		t.Errorf("attempts = %d, want %d (budget escalation exhausted)", st.Attempts, defaultRetryAttempts)
+	if st.Attempts != retryAttempts {
+		t.Errorf("attempts = %d, want %d (budget escalation exhausted)", st.Attempts, retryAttempts)
 	}
 	if st.Err == "" {
 		t.Error("degraded stat lost the error that forced the fallback")

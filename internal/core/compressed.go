@@ -425,7 +425,7 @@ func concretizePatch(h *harc.HARC, orig *harc.State, pr *problem, q *compress.Qu
 			}
 			if wanted[cpair{a, b}] && !trial.Waypoint[l.Name()] {
 				trial.Waypoint[l.Name()] = true
-				changes += opts.WaypointWeight
+				changes++
 				touched[l.A.Device.Name] = true
 				touched[l.B.Device.Name] = true
 			}

@@ -26,6 +26,13 @@ import (
 	"repro/internal/topology"
 )
 
+// Bit widths of the PC4 bitvectors: edge costs range over
+// 1..2^costBits-1, and distance labels are distBits wide.
+const (
+	costBits = 4
+	distBits = 8
+)
+
 // encoder builds the MaxSMT problem for one group of traffic classes.
 //
 // Variables are interned: every encoder owns a formula.Pool and looks
@@ -63,8 +70,7 @@ type encoder struct {
 	stVar  [][]*formula.F // static-route construct variables (inter slots)
 	rfVar  [][]*formula.F // route-filter construct variables (proc index)
 
-	softs   []sat.Lit
-	weights []int
+	softs []sat.Lit
 	// byDevice collects keep-formulas per device for the MinDevices
 	// objective (§5.2's "minimal number of devices changed").
 	byDevice map[string][]*formula.F
@@ -218,9 +224,6 @@ func (e *encoder) wedge(si int) *formula.F {
 	if e.st.Waypoint[name] {
 		return formula.True
 	}
-	if !e.opts.AllowWaypointChanges {
-		return formula.False
-	}
 	if f, ok := e.wedgeVars[name]; ok {
 		return f
 	}
@@ -241,7 +244,7 @@ func (e *encoder) cost(si int) bv.Vec {
 	if v, ok := e.costVecs[ck]; ok {
 		return v
 	}
-	v := bv.Fresh(e.pool, e.opts.CostBits)
+	v := bv.Fresh(e.pool, costBits)
 	e.costVecs[ck] = v
 	e.costOrder = append(e.costOrder, ck)
 	// Constraint 13: cost > 0.
@@ -261,16 +264,12 @@ func (e *encoder) freshVec(n int) []*formula.F {
 // soft registers a keep-formula attributed to a device. Under the
 // MinLines objective each formula is one unit-weight soft (Table 2);
 // under MinDevices the per-device conjunctions become the softs.
-func (e *encoder) soft(device string, f *formula.F) { e.softWeighted(device, f, 1) }
-
-// softWeighted registers a keep-formula with an explicit weight.
-func (e *encoder) softWeighted(device string, f *formula.F, weight int) {
+func (e *encoder) soft(device string, f *formula.F) {
 	if e.opts.Objective == MinDevices {
 		e.byDevice[device] = append(e.byDevice[device], f)
 		return
 	}
 	e.softs = append(e.softs, e.b.Lit(f))
-	e.weights = append(e.weights, weight)
 }
 
 // finalizeSofts emits the per-device softs for MinDevices.
@@ -285,7 +284,6 @@ func (e *encoder) finalizeSofts() {
 	sort.Strings(names)
 	for _, name := range names {
 		e.softs = append(e.softs, e.b.Lit(formula.And(e.byDevice[name]...)))
-		e.weights = append(e.weights, 1)
 	}
 }
 
@@ -371,7 +369,7 @@ func (e *encoder) seedPhases() {
 	}
 	for _, ck := range e.costOrder {
 		orig := uint64(e.st.Cost[ck])
-		max := uint64(1)<<uint(e.opts.CostBits) - 1
+		max := uint64(1)<<uint(costBits) - 1
 		if orig > max {
 			orig = max
 		}
@@ -617,7 +615,6 @@ func (e *encoder) encodePC4(p policy.Policy) error {
 	tl := e.tcIdx[tc.Key()]
 	dl := e.dstIdx[tc.Dst.Name]
 	t := e.tb.tc[tc.Key()]
-	distBits := e.opts.DistBits
 
 	// Route selection is ACL-blind: distance labels, tightness, and the
 	// strict-preference comparisons all range over ROUTING-level edge
@@ -855,7 +852,7 @@ func (e *encoder) softConstraints() {
 	for _, ck := range e.costOrder {
 		vec := e.costVecs[ck]
 		orig := e.st.Cost[ck]
-		max := int64(1)<<uint(e.opts.CostBits) - 1
+		max := int64(1)<<uint(costBits) - 1
 		if orig > max {
 			orig = max
 		}
@@ -863,22 +860,20 @@ func (e *encoder) softConstraints() {
 		if i := strings.IndexByte(ck, '/'); i >= 0 {
 			dev = ck[:i]
 		}
-		e.soft(dev, bv.Equal(vec, bv.Const(uint64(orig), e.opts.CostBits)))
+		e.soft(dev, bv.Equal(vec, bv.Const(uint64(orig), costBits)))
 	}
 	// Waypoint softs: adding a middlebox is a change (wedge variables are
 	// only created for links without one). Middleboxes are not device
 	// configuration; attribute them to a pseudo-device per link.
-	// Their weight is configurable — placing a firewall typically costs
-	// more than editing a configuration line.
 	for _, name := range e.wedgeOrder {
-		e.softWeighted("link:"+name, formula.Not(e.wedgeVars[name]), e.opts.WaypointWeight)
+		e.soft("link:"+name, formula.Not(e.wedgeVars[name]))
 	}
 	e.finalizeSofts()
 }
 
 // solve runs MaxSAT and returns the violated-soft count.
 func (e *encoder) solve(ctx context.Context) (int, sat.Status) {
-	res := maxsat.SolveWeightedCtx(ctx, e.s, e.softs, e.weights, e.opts.Algorithm)
+	res := maxsat.SolveCtx(ctx, e.s, e.softs, e.opts.Algorithm)
 	return res.Cost, res.Status
 }
 

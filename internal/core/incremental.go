@@ -16,7 +16,7 @@ import (
 // same (or an incrementally updated) network. Each entry is keyed by a
 // fingerprint of the sub-problem's complete encoding closure — the
 // options, policies, tables rows, and every original-state value the
-// encoder bakes into constraints, soft weights, or phase seeds — so a
+// encoder bakes into constraints, softs, or phase seeds — so a
 // hit replays a result byte-identical to what a fresh solve would
 // produce: the solver is deterministic, and two sub-problems with equal
 // fingerprints build equal formulas.
@@ -24,7 +24,7 @@ import (
 // Entries retain the live encoder (interned formula.Pool plus the
 // sat.Solver with its learned clauses and saved phases), which makes the
 // session's memory footprint observable (Stats) and reclaimable
-// (Release), and supplies the model that WarmStart seeds re-solves from.
+// (Release).
 //
 // A SolveCache is safe for concurrent use by parallel per-destination
 // workers and by concurrent Repair calls sharing one session.
@@ -32,13 +32,9 @@ type SolveCache struct {
 	mu      sync.Mutex
 	epoch   string
 	entries map[string]*solveEntry
-	// lastModel maps a sub-problem label to the most recently stored
-	// model's phase vector, the WarmStart seed for re-solves of the same
-	// destination after its fingerprint was invalidated.
-	lastModel map[string][]bool
-	hits      uint64
-	misses    uint64
-	stores    uint64
+	hits    uint64
+	misses  uint64
+	stores  uint64
 	// orig caches the pre-repair HARC state of this cache's epoch, so
 	// back-to-back Repair calls on the same session skip the O(network)
 	// StateOf recomputation. baseOrig/baseChanged, set by ForkDelta, let
@@ -65,7 +61,6 @@ type solveEntry struct {
 	// solve; nil for compressed entries, whose quotient encoder is
 	// discarded inside tryCompressed.
 	enc   *encoder
-	model []bool
 	bytes int64
 }
 
@@ -77,9 +72,8 @@ type solveEntry struct {
 // caching for those sub-problems only.
 func NewSolveCache(epoch string) *SolveCache {
 	return &SolveCache{
-		epoch:     epoch,
-		entries:   make(map[string]*solveEntry),
-		lastModel: make(map[string][]bool),
+		epoch:   epoch,
+		entries: make(map[string]*solveEntry),
 	}
 }
 
@@ -88,7 +82,7 @@ func NewSolveCache(epoch string) *SolveCache {
 func (c *SolveCache) Epoch() string { return c.epoch }
 
 // Fork snapshots the cache for a derived session under a new epoch.
-// Entries and models are shared by reference (they are immutable);
+// Entries are shared by reference (they are immutable);
 // counters start fresh. Entries whose fingerprint embedded the old
 // epoch simply never match again and age out when the forked session is
 // released.
@@ -115,9 +109,6 @@ func (c *SolveCache) ForkDelta(epoch string, changed map[string]bool) *SolveCach
 	defer c.mu.Unlock()
 	for k, v := range c.entries {
 		nc.entries[k] = v
-	}
-	for k, v := range c.lastModel {
-		nc.lastModel[k] = v
 	}
 	if len(changed) > 0 {
 		base := c.orig
@@ -214,7 +205,6 @@ func (c *SolveCache) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*solveEntry)
-	c.lastModel = make(map[string][]bool)
 }
 
 func (c *SolveCache) lookup(fp string) *solveEntry {
@@ -239,17 +229,6 @@ func (c *SolveCache) store(fp string, e *solveEntry) {
 		c.entries[fp] = e
 		c.stores++
 	}
-	if e.model != nil {
-		c.lastModel[e.stat.Label] = e.model
-	}
-}
-
-// priorModel returns the last stored model for a sub-problem label, the
-// WarmStart phase seed.
-func (c *SolveCache) priorModel(label string) []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastModel[label]
 }
 
 // replay copies the memoized outcome onto the problem. The caller's
@@ -293,7 +272,7 @@ func (w *fpWriter) boolean(v bool) {
 
 // fingerprintVersion tags the hash layout; bump it whenever the encoder
 // reads a new input, so stale-layout fingerprints cannot collide.
-const fingerprintVersion = "cprfp2"
+const fingerprintVersion = "cprfp3"
 
 // problemFingerprint hashes the complete input closure of one
 // sub-problem's encode+solve: every table row, original-state value,
@@ -323,10 +302,6 @@ func problemFingerprint(tb *tables, orig *harc.State, pr *problem, opts Options,
 	w.i64(int64(opts.Granularity))
 	w.i64(int64(opts.Algorithm))
 	w.i64(int64(opts.Objective))
-	w.i64(int64(opts.CostBits))
-	w.i64(int64(opts.DistBits))
-	w.boolean(opts.AllowWaypointChanges)
-	w.i64(int64(opts.WaypointWeight))
 	w.i64(opts.ConflictBudget)
 	w.i64(int64(opts.Compress))
 	w.i64(int64(opts.CompressRedundancy))
@@ -455,8 +430,7 @@ func entryFor(pr *problem) *solveEntry {
 	}
 	if pr.stat.Outcome == OutcomeSolved {
 		e.extracted = captureExtract(pr.enc)
-		e.model = pr.enc.s.ModelPhases()
-		e.bytes += e.extracted.ApproxBytes() + int64(len(e.model))
+		e.bytes += e.extracted.ApproxBytes()
 	}
 	e.enc = pr.enc
 	if pr.enc != nil {
@@ -529,6 +503,6 @@ func (e *encoder) approxBytes() int64 {
 	for _, r := range e.rfVar {
 		n += int64(len(r)) * 8
 	}
-	n += int64(len(e.aVar))*8 + int64(len(e.softs))*4 + int64(len(e.weights))*8
+	n += int64(len(e.aVar))*8 + int64(len(e.softs))*4
 	return n
 }

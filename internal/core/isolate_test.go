@@ -109,23 +109,45 @@ func TestRepairCtxCancelMidFanoutPartialResult(t *testing.T) {
 		t.Errorf("partial state violates %d of its repaired policies (first: %s)", len(bad), bad[0])
 	}
 
-	// No goroutine leaks: the worker pool and watchdogs must all have
-	// wound down (poll briefly — runtime bookkeeping can lag).
+	waitGoroutines(t, g0)
+}
+
+// waitGoroutines fails the test unless the goroutine count returns to
+// within two of g0: the worker pool and watchdogs of every finished
+// fan-out must have wound down (poll briefly — runtime bookkeeping can
+// lag).
+func waitGoroutines(t *testing.T, g0 int) {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if g := runtime.NumGoroutine(); g <= g0+2 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d after cancelled fan-out, started with %d", runtime.NumGoroutine(), g0)
+			t.Fatalf("goroutines = %d after the fan-out, started with %d", runtime.NumGoroutine(), g0)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
+// TestRepairHugeParallelismIsCapped: the scheduler starts at most one
+// worker per sub-problem, so a client-supplied Parallelism far above the
+// problem count costs nothing.
+func TestRepairHugeParallelismIsCapped(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Parallelism = 1 << 24
+	t0 := time.Now()
+	_, _, res := repairFigure2a(t, opts)
+	if elapsed := time.Since(t0); elapsed >= time.Second {
+		t.Fatalf("one-problem repair at Parallelism 1<<24 took %v, want well under 1s", elapsed)
+	}
+	if len(res.Stats) != 1 {
+		t.Errorf("Figure 2a decomposed into %d problems, want 1", len(res.Stats))
+	}
+}
+
 // TestRepairIsolationMatchesLegacyWhenHealthy checks that with no
-// faults injected the isolated driver returns the same repair as the
-// legacy fail-fast driver.
+// faults injected isolation on and off return the same repair.
 func TestRepairIsolationMatchesLegacyWhenHealthy(t *testing.T) {
 	inst := dcInstance(t)
 	h := inst.Harc()

@@ -66,8 +66,9 @@ type IsolationMode int
 
 // Isolation modes.
 const (
-	// IsolationOff is the legacy fail-fast fan-out: the first sub-problem
-	// error aborts every sibling and Repair returns that error.
+	// IsolationOff gives each sub-problem one attempt and no fallback:
+	// the first SolveError (an encode error or a recovered solver panic)
+	// cancels every sibling, and Repair returns it with no Result.
 	IsolationOff IsolationMode = iota
 	// IsolationOn gives each per-destination sub-problem its own failure
 	// domain (PerDst granularity only): solver panics become typed
@@ -145,18 +146,6 @@ type Options struct {
 	// setting: sub-problems are scheduled largest-first for wall-clock,
 	// but models are extracted and merged in deterministic problem order.
 	Parallelism int
-	// CostBits is the bit width of PC4 edge-cost variables (costs range
-	// 1..2^CostBits-1).
-	CostBits int
-	// DistBits is the bit width of PC4 distance labels.
-	DistBits int
-	// AllowWaypointChanges lets repairs add middleboxes to links
-	// (footnote 2); disable to require ¬wedge for all unwaypointed links.
-	AllowWaypointChanges bool
-	// WaypointWeight is the objective cost of placing one middlebox,
-	// relative to a configuration line (default 1, the paper's implicit
-	// accounting).
-	WaypointWeight int
 	// ConflictBudget bounds each SAT call (0 = unlimited); exceeding it
 	// yields an Unknown problem status, CPR's analogue of the paper's
 	// 8-hour limit. Under isolation, retries escalate the budget.
@@ -164,12 +153,6 @@ type Options struct {
 	// Isolation contains per-destination failures instead of aborting the
 	// whole batch; it applies to PerDst granularity only.
 	Isolation IsolationMode
-	// RetryAttempts bounds solve attempts per sub-problem under isolation
-	// (0 = default 3; 1 = no retry).
-	RetryAttempts int
-	// DstTimeout overrides the derived per-attempt watchdog deadline
-	// under isolation (0 = derive a fair share of the request deadline).
-	DstTimeout time.Duration
 	// DisableFallback turns off greedy degradation under isolation:
 	// exhausted sub-problems are marked failed instead.
 	DisableFallback bool
@@ -200,36 +183,21 @@ type Options struct {
 	// session carries one (the request-level solve_cache=off escape
 	// hatch for A/B measurement).
 	DisableSolveCache bool
-	// WarmStart seeds each fresh solve's phase polarities from the last
-	// model the cache stored for the same sub-problem label, on top of
-	// the original-state phase seeding. Off by default: it can steer the
-	// solver to a different equally-minimal repair than a cold session
-	// would find, trading cross-session byte-identity for faster
-	// re-solves of invalidated destinations. Results remain verified-
-	// optimal either way.
-	WarmStart bool
 }
 
-// defaultRetryAttempts is the per-sub-problem attempt bound under
-// isolation when Options.RetryAttempts is zero.
-const defaultRetryAttempts = 3
+// retryAttempts bounds the solve attempts of one sub-problem under
+// isolation; without isolation each sub-problem gets one attempt.
+const retryAttempts = 3
 
 // Workers resolves Options.Parallelism to a worker count: zero means
 // one worker per available core, negative means sequential. Callers
 // running their own verification fan-out use it to match the repair's
 // parallelism.
-func (o Options) Workers() int { return o.workerCount() }
-
-// workerCount resolves Options.Parallelism: zero means one worker per
-// available core, negative means sequential.
-func (o Options) workerCount() int {
+func (o Options) Workers() int {
 	if o.Parallelism == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
+	return max(o.Parallelism, 1)
 }
 
 // budgetEscalation multiplies the conflict budget on each isolated
@@ -244,13 +212,7 @@ func DefaultOptions() Options {
 		Granularity: PerDst,
 		Algorithm:   maxsat.OLL,
 		Parallelism: 0, // all available cores
-
-		CostBits:             4,
-		DistBits:             8,
-		AllowWaypointChanges: true,
-		WaypointWeight:       1,
-		Isolation:            IsolationOn,
-		RetryAttempts:        defaultRetryAttempts,
+		Isolation:   IsolationOn,
 	}
 }
 
@@ -458,21 +420,13 @@ func Repair(h *harc.HARC, policies []policy.Policy, opts Options) (*Result, erro
 
 // RepairCtx is Repair under a context. Cancelling ctx interrupts every
 // in-flight SAT solve (the CDCL search loop polls an interruption flag).
-// Without isolation RepairCtx returns ctx's error instead of a partial
-// result; under isolation it returns the partial Result — completed
-// destinations keep their solved statuses, pending ones are marked
-// failed — alongside ctx's error.
+// Without isolation RepairCtx returns ctx's error, or the first
+// sub-problem's SolveError, instead of a partial result; under
+// isolation it returns the partial Result — completed destinations keep
+// their solved statuses, pending ones are marked failed — alongside
+// ctx's error.
 func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts Options) (*Result, error) {
 	start := time.Now()
-	if opts.CostBits == 0 {
-		opts.CostBits = 4
-	}
-	if opts.DistBits == 0 {
-		opts.DistBits = 8
-	}
-	if opts.WaypointWeight == 0 {
-		opts.WaypointWeight = 1
-	}
 	var orig *harc.State
 	if !opts.DisableSolveCache {
 		orig = opts.Cache.OrigState(h)
@@ -495,13 +449,13 @@ func RepairCtx(ctx context.Context, h *harc.HARC, policies []policy.Policy, opts
 	// sub-problems are naturally independent; the single all-tcs problem
 	// has no siblings to protect.
 	isolated := opts.Isolation == IsolationOn && opts.Granularity == PerDst
-	if isolated {
-		runIsolated(ctx, h, tb, orig, problems, opts)
-	} else {
-		if err := runFailFast(ctx, h, tb, orig, problems, opts); err != nil {
-			return nil, err
+	err = runProblems(ctx, h, tb, orig, problems, opts, isolated)
+	if !isolated {
+		// Without isolation a cancelled or failed batch has no result.
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr
 		}
-		if err := ctx.Err(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -676,110 +630,54 @@ func scheduleOrder(problems []*problem) []*problem {
 // Traffic classes dominate the variable count; policies break ties.
 func (pr *problem) sizeHint() int { return len(pr.tcs)*16 + len(pr.policies) }
 
-// runFailFast is the legacy fan-out: build and solve each problem (in
-// parallel for per-dst); the first error aborts the batch.
-func runFailFast(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) error {
-	workers := opts.workerCount()
+// runProblems is the one sub-problem scheduler: a pool of
+// min(Workers(), len(problems)) goroutines drains the queue
+// largest-first (deterministic dispatch under Parallelism 1). Under
+// isolation every problem resolves to solved, degraded, or failed —
+// never to an aborted batch — and runProblems returns nil. Without
+// isolation each problem gets one attempt and no fallback, and the
+// first SolveError cancels every sibling and is returned.
+func runProblems(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options, isolated bool) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, workers)
-		mu       sync.Mutex
-		firstErr error
+		abortOnce sync.Once
+		firstErr  error
+		pending   atomic.Int64
+		wg        sync.WaitGroup
 	)
-	for _, pr := range scheduleOrder(problems) {
-		wg.Add(1)
-		go func(pr *problem) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return // cancelled while queued; RepairCtx reports ctx.Err()
-			}
-			t0 := time.Now()
-			fp, memo := problemMemo(tb, orig, pr, opts)
-			if memo {
-				if ent := opts.Cache.lookup(fp); ent != nil {
-					ent.replay(pr)
-					pr.stat.Duration = time.Since(t0)
-					return
-				}
-			}
-			if tryCompressed(ctx, h, orig, pr, opts) {
-				if memo && cacheableOutcome(pr, ctx.Err()) {
-					opts.Cache.store(fp, entryFor(pr))
-				}
-				pr.stat.Duration = time.Since(t0)
-				return
-			}
-			enc := newEncoder(tb, orig, pr.tcs, pr.policies, pr.freeze, opts)
-			te := time.Now()
-			if err := enc.encode(ctx); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			pr.stat.EncodeNs += time.Since(te).Nanoseconds()
-			ts := time.Now()
-			cost, status := enc.solve(ctx)
-			pr.stat.SolveNs += time.Since(ts).Nanoseconds()
-			pr.enc = enc
-			pr.stat.Vars = enc.s.NumVars()
-			pr.stat.Softs = len(enc.softs)
-			pr.stat.Violations = cost
-			pr.stat.Status = status
-			pr.stat.Attempts = 1
-			pr.stat.Conflicts = enc.s.Conflicts
-			pr.stat.Solver = enc.s.Snapshot()
-			pr.stat.Duration = time.Since(t0)
-			if status != sat.Sat {
-				pr.stat.Outcome = OutcomeFailed
-				pr.stat.Err = "status " + status.String()
-			}
-			if memo && cacheableOutcome(pr, ctx.Err()) {
-				opts.Cache.store(fp, entryFor(pr))
-			}
-		}(pr)
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// runIsolated is the fault-isolated fan-out: a fixed worker pool drains
-// the problem queue largest-first (deterministic dispatch under
-// Parallelism 1), and every problem resolves to solved, degraded, or
-// failed — never to an aborted batch.
-func runIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, problems []*problem, opts Options) {
-	workers := opts.workerCount()
-	attempts := opts.RetryAttempts
-	if attempts < 1 {
-		attempts = defaultRetryAttempts
-	}
-	var pending atomic.Int64
+	workers := min(opts.Workers(), len(problems))
 	pending.Store(int64(len(problems)))
 	queue := make(chan *problem, len(problems))
 	for _, pr := range scheduleOrder(problems) {
 		queue <- pr
 	}
 	close(queue)
-	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for pr := range queue {
-				solveIsolated(ctx, h, tb, orig, pr, opts, attempts, workers, &pending)
+				if err := solveProblem(ctx, h, tb, orig, pr, opts, isolated, workers, &pending); err != nil {
+					abortOnce.Do(func() {
+						firstErr = err
+						cancel()
+					})
+				}
 				pending.Add(-1)
 			}
 		}()
 	}
 	wg.Wait()
+	return firstErr
 }
 
-// solveIsolated drives one sub-problem to a terminal outcome.
-func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, attempts, workers int, pending *atomic.Int64) {
+// solveProblem drives one sub-problem to a terminal outcome. Under
+// isolation it retries transient failures with an escalating budget,
+// each attempt under a watchdog deadline, and degrades an exhausted
+// sub-problem to the greedy fallback. Without isolation it makes one
+// attempt and returns the SolveError of a failed encode or solve.
+func solveProblem(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.State, pr *problem, opts Options, isolated bool, workers int, pending *atomic.Int64) error {
 	t0 := time.Now()
 	defer func() { pr.stat.Duration = time.Since(t0) }()
 
@@ -787,14 +685,18 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 	if memo {
 		if ent := opts.Cache.lookup(fp); ent != nil {
 			ent.replay(pr)
-			return
+			return nil
 		}
 	}
 	if tryCompressed(ctx, h, orig, pr, opts) {
 		if memo && cacheableOutcome(pr, ctx.Err()) {
 			opts.Cache.store(fp, entryFor(pr))
 		}
-		return
+		return nil
+	}
+	attempts := 1
+	if isolated {
+		attempts = retryAttempts
 	}
 	budget := opts.ConflictBudget
 	var lastErr error
@@ -802,10 +704,13 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 		if err := ctx.Err(); err != nil {
 			pr.stat.Outcome = OutcomeFailed
 			pr.stat.Err = "cancelled: " + err.Error()
-			return
+			return nil
 		}
 		pr.stat.Attempts = attempt
-		wctx, cancel := watchdogCtx(ctx, opts, workers, pending)
+		wctx, cancel := ctx, context.CancelFunc(func() {})
+		if isolated {
+			wctx, cancel = watchdogCtx(ctx, workers, pending)
+		}
 		enc, cost, status, err := solveOnce(wctx, tb, orig, pr, budget, opts, attempt)
 		cancel()
 		if enc != nil {
@@ -824,7 +729,7 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 				if memo && cacheableOutcome(pr, ctx.Err()) {
 					opts.Cache.store(fp, entryFor(pr))
 				}
-				return
+				return nil
 			case sat.Unsat:
 				// Deterministic: no retry, and no fallback either — the
 				// greedy baseline cannot satisfy an unsatisfiable group.
@@ -833,25 +738,30 @@ func solveIsolated(ctx context.Context, h *harc.HARC, tb *tables, orig *harc.Sta
 				if memo && cacheableOutcome(pr, ctx.Err()) {
 					opts.Cache.store(fp, entryFor(pr))
 				}
-				return
+				return nil
 			}
 			// Unknown: watchdog expiry, a spurious interrupt, or budget
 			// exhaustion — transient either way; retry with more budget.
 			lastErr = &SolveError{Label: pr.label, Phase: "solve", Attempt: attempt,
 				Err: fmt.Errorf("solver returned unknown (budget %d)", budget)}
+		} else if !isolated {
+			pr.stat.Outcome = OutcomeFailed
+			pr.stat.Err = err.Error()
+			return err
 		} else {
 			lastErr = err
 		}
 		if ctx.Err() != nil {
 			pr.stat.Outcome = OutcomeFailed
 			pr.stat.Err = "cancelled: " + ctx.Err().Error()
-			return
+			return nil
 		}
 		if budget > 0 {
 			budget *= budgetEscalation
 		}
 	}
-	degrade(h, orig, pr, opts, lastErr)
+	degrade(h, orig, pr, !isolated || opts.DisableFallback, lastErr)
+	return nil
 }
 
 // solveOnce builds a fresh encoder and solver and runs one attempt.
@@ -875,14 +785,6 @@ func solveOnce(ctx context.Context, tb *tables, orig *harc.State, pr *problem, b
 		return enc, 0, sat.Unknown, &SolveError{Label: pr.label, Phase: "encode", Attempt: attempt, Err: eerr}
 	}
 	pr.stat.EncodeNs += time.Since(te).Nanoseconds()
-	// Opt-in warm start: overlay the previous repair's model for this
-	// label on top of the original-state phase seeding (see
-	// Options.WarmStart for the byte-identity caveat).
-	if opts.WarmStart && opts.Cache != nil && !opts.DisableSolveCache {
-		if m := opts.Cache.priorModel(pr.label); m != nil {
-			enc.s.SeedPhases(m)
-		}
-	}
 	phase = "solve"
 	ts := time.Now()
 	cost, status = enc.solve(ctx)
@@ -890,15 +792,11 @@ func solveOnce(ctx context.Context, tb *tables, orig *harc.State, pr *problem, b
 	return enc, cost, status, nil
 }
 
-// watchdogCtx derives one attempt's deadline: an explicit DstTimeout if
-// configured, otherwise a fair share of the request's remaining budget
-// (remaining time divided by the number of solve waves left). Without
-// any deadline the parent context is used as-is, so the common
-// no-deadline path allocates nothing.
-func watchdogCtx(ctx context.Context, opts Options, workers int, pending *atomic.Int64) (context.Context, context.CancelFunc) {
-	if opts.DstTimeout > 0 {
-		return context.WithTimeout(ctx, opts.DstTimeout)
-	}
+// watchdogCtx derives one attempt's deadline: a fair share of the
+// request's remaining budget (remaining time divided by the number of
+// solve waves left). Without a deadline the parent context is used
+// as-is, so the common no-deadline path allocates nothing.
+func watchdogCtx(ctx context.Context, workers int, pending *atomic.Int64) (context.Context, context.CancelFunc) {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		return ctx, func() {}
@@ -915,15 +813,15 @@ func watchdogCtx(ctx context.Context, opts Options, workers int, pending *atomic
 	return context.WithTimeout(ctx, remaining/time.Duration(waves))
 }
 
-// degrade resolves an exhausted sub-problem: greedy fallback when the
-// policy classes support it and the realized repair verifies, failed
-// otherwise.
-func degrade(h *harc.HARC, orig *harc.State, pr *problem, opts Options, lastErr error) {
+// degrade resolves an exhausted sub-problem: greedy fallback when it is
+// allowed, the policy classes support it and the realized repair
+// verifies, failed otherwise.
+func degrade(h *harc.HARC, orig *harc.State, pr *problem, noFallback bool, lastErr error) {
 	pr.stat.Outcome = OutcomeFailed
 	if lastErr != nil {
 		pr.stat.Err = lastErr.Error()
 	}
-	if opts.DisableFallback || !greedyEligible(pr.policies) {
+	if noFallback || !greedyEligible(pr.policies) {
 		return
 	}
 	gres, err := greedy.Repair(h, pr.policies)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/harc"
 	"repro/internal/policy"
-	"repro/internal/smt/maxsat"
 	"repro/internal/topology"
 )
 
@@ -73,20 +72,6 @@ func TestRepairMinimalityAcrossGranularities(t *testing.T) {
 	_, _, resAll := repairFigure2a(t, opts)
 	if resPer.Changes != resAll.Changes {
 		t.Errorf("per-dst changes %d != all-tcs changes %d", resPer.Changes, resAll.Changes)
-	}
-}
-
-func TestRepairFuMalikAgrees(t *testing.T) {
-	optsL := DefaultOptions()
-	_, _, resL := repairFigure2a(t, optsL)
-	optsF := DefaultOptions()
-	optsF.Algorithm = maxsat.FuMalik
-	h, policies, resF := repairFigure2a(t, optsF)
-	if resL.Changes != resF.Changes {
-		t.Errorf("linear cost %d != fu-malik cost %d", resL.Changes, resF.Changes)
-	}
-	if v := VerifyRepair(h, resF.State, policies); len(v) != 0 {
-		t.Fatalf("fu-malik repaired state violates: %v", v)
 	}
 }
 

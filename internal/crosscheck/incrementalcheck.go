@@ -53,7 +53,7 @@ func CheckIncremental(seed int64) error {
 
 	opts := cpr.DefaultOptions()
 	if rng.Intn(2) == 1 {
-		opts.Algorithm = maxsat.FuMalik
+		opts.Algorithm = maxsat.LinearDescent
 	}
 
 	fail := func(step int, format string, args ...interface{}) *Divergence {

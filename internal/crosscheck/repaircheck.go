@@ -53,7 +53,7 @@ func CheckRepair(seed int64) error {
 
 	opts := cpr.DefaultOptions()
 	if rng.Intn(2) == 1 {
-		opts.Algorithm = maxsat.FuMalik
+		opts.Algorithm = maxsat.LinearDescent
 	}
 	granAll := rng.Intn(2) == 1
 	if granAll {

@@ -155,7 +155,7 @@ func oll(s *sat.Solver, softs []sat.Lit, weights []int) Result {
 			}
 			// Keep the descent warm: the next model usually differs from
 			// this one in a handful of assignments.
-			s.SeedPhasesFromModel()
+			s.RephaseFromModel()
 			if len(pending) > 0 {
 				// Delayed expansion: encode every core this pass found,
 				// then continue the descent under the new bounds.

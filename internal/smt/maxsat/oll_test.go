@@ -246,7 +246,7 @@ func TestSolverReuseAfterCoreExtraction(t *testing.T) {
 	}
 }
 
-// TestParseAlgorithm: the string surface accepts the three engines and
+// TestParseAlgorithm: the string surface accepts the two engines and
 // rejects everything else with a labeled error.
 func TestParseAlgorithm(t *testing.T) {
 	cases := []struct {
@@ -257,7 +257,6 @@ func TestParseAlgorithm(t *testing.T) {
 		{"", OLL, true},
 		{"oll", OLL, true},
 		{"linear", LinearDescent, true},
-		{"fu-malik", FuMalik, true},
 		{"fumalik", OLL, false},
 		{"OLL", OLL, false},
 		{"rc2", OLL, false},
@@ -271,7 +270,7 @@ func TestParseAlgorithm(t *testing.T) {
 			t.Errorf("ParseAlgorithm(%q): expected error", c.in)
 		}
 	}
-	for _, a := range []Algorithm{LinearDescent, FuMalik, OLL} {
+	for _, a := range []Algorithm{LinearDescent, OLL} {
 		back, err := ParseAlgorithm(a.String())
 		if err != nil || back != a {
 			t.Errorf("round-trip %v: got %v, %v", a, back, err)

@@ -181,11 +181,11 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // state so the initial MaxSAT upper bound is small.
 func (s *Solver) SetPhase(v Var, val bool) { s.phase[v] = val }
 
-// SeedPhasesFromModel copies the last satisfying assignment into the
+// RephaseFromModel copies the last satisfying assignment into the
 // saved phases, so the next Solve call starts its search from that
-// model. MaxSAT bound-tightening loops use this to warm-start each
+// model. MaxSAT bound-tightening loops use this to resume each
 // iteration from the previous optimum instead of restarting cold.
-func (s *Solver) SeedPhasesFromModel() {
+func (s *Solver) RephaseFromModel() {
 	n := len(s.model)
 	if n > len(s.phase) {
 		n = len(s.phase)
@@ -193,33 +193,6 @@ func (s *Solver) SeedPhasesFromModel() {
 	for v := 0; v < n; v++ {
 		s.phase[v] = s.model[v] == lTrue
 	}
-}
-
-// ModelPhases returns the last satisfying assignment as a polarity
-// vector indexed by variable, for cross-solver warm starts: a retained
-// session solver's model can seed a freshly built solver for the same
-// sub-problem via SeedPhases. Returns nil when no model is available.
-func (s *Solver) ModelPhases() []bool {
-	if len(s.model) == 0 {
-		return nil
-	}
-	out := make([]bool, len(s.model))
-	for v := range s.model {
-		out[v] = s.model[v] == lTrue
-	}
-	return out
-}
-
-// SeedPhases overlays an externally captured polarity vector (see
-// ModelPhases) onto the saved phases, index-aligned and truncated to
-// the shorter of the two. The counterpart of SeedPhasesFromModel for
-// models that came from a different solver instance.
-func (s *Solver) SeedPhases(vals []bool) {
-	n := len(vals)
-	if n > len(s.phase) {
-		n = len(s.phase)
-	}
-	copy(s.phase[:n], vals[:n])
 }
 
 // ApproxBytes estimates the heap retained by the solver: the clause

@@ -572,7 +572,7 @@ func TestArenaGCCompactsAndPreservesAnswers(t *testing.T) {
 	}
 }
 
-func TestSeedPhasesFromModel(t *testing.T) {
+func TestRephaseFromModel(t *testing.T) {
 	s := newSolverWithVars(6)
 	s.AddClause(lits(1, 2, 3)...)
 	if s.Solve() != Sat {
@@ -582,7 +582,7 @@ func TestSeedPhasesFromModel(t *testing.T) {
 	for v := Var(0); v < 6; v++ {
 		want[v] = s.Value(v)
 	}
-	s.SeedPhasesFromModel()
+	s.RephaseFromModel()
 	for v := Var(0); v < 6; v++ {
 		if s.phase[v] != want[v] {
 			t.Errorf("phase[%d] = %v, want model value %v", v, s.phase[v], want[v])

@@ -2,7 +2,6 @@ package cpr
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/smt/maxsat"
@@ -14,7 +13,7 @@ import (
 type OptionFlags struct {
 	// Granularity is "per-dst" (default) or "all-tcs".
 	Granularity string `json:"granularity,omitempty"`
-	// Algorithm is "oll" (default), "linear", or "fu-malik".
+	// Algorithm is "oll" (default) or "linear".
 	Algorithm string `json:"algorithm,omitempty"`
 	// Objective is "min-lines" (default) or "min-devices".
 	Objective string `json:"objective,omitempty"`
@@ -28,12 +27,6 @@ type OptionFlags struct {
 	// isolation with retries and greedy degradation (per-dst granularity
 	// only).
 	Isolation string `json:"isolation,omitempty"`
-	// RetryAttempts bounds solve attempts per destination under isolation
-	// (0 = default 3).
-	RetryAttempts int `json:"retry_attempts,omitempty"`
-	// DstTimeoutMS overrides the derived per-destination watchdog
-	// deadline, in milliseconds (0 = derive from the request deadline).
-	DstTimeoutMS int64 `json:"dst_timeout_ms,omitempty"`
 	// NoFallback disables greedy degradation: exhausted destinations are
 	// marked failed instead.
 	NoFallback bool `json:"no_fallback,omitempty"`
@@ -48,12 +41,6 @@ type OptionFlags struct {
 	// replay from the session's solve cache on repeat repairs (only
 	// effective through a Session; plain System repairs have no cache).
 	SolveCache string `json:"solve_cache,omitempty"`
-	// WarmStart seeds each fresh solve's phase polarities from the
-	// previous repair's model for the same sub-problem. Off by default:
-	// it can steer the solver to a different (equally optimal) repair
-	// than a cold solve would find, trading the cross-call byte-identity
-	// guarantee for speed on near-miss churn.
-	WarmStart bool `json:"warm_start,omitempty"`
 }
 
 // Resolve converts the string-level flags into engine Options, rejecting
@@ -97,16 +84,6 @@ func (f OptionFlags) Resolve() (Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown isolation %q (want on or off)", f.Isolation)
 	}
-	if f.RetryAttempts < 0 {
-		return opts, fmt.Errorf("negative retry attempts %d", f.RetryAttempts)
-	}
-	if f.RetryAttempts > 0 {
-		opts.RetryAttempts = f.RetryAttempts
-	}
-	if f.DstTimeoutMS < 0 {
-		return opts, fmt.Errorf("negative destination timeout %dms", f.DstTimeoutMS)
-	}
-	opts.DstTimeout = time.Duration(f.DstTimeoutMS) * time.Millisecond
 	opts.DisableFallback = f.NoFallback
 	switch f.Compress {
 	case "", "auto":
@@ -130,6 +107,5 @@ func (f OptionFlags) Resolve() (Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown solve_cache %q (want on or off)", f.SolveCache)
 	}
-	opts.WarmStart = f.WarmStart
 	return opts, nil
 }

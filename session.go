@@ -202,10 +202,9 @@ func (s *Session) RepairCtx(ctx context.Context, policies []Policy, opts Options
 
 // repairMemoKey hashes the repair request's full input surface beyond
 // the session itself: the policy set (by canonical string) and every
-// option. WarmStart requests are never memoized (they deliberately
-// relax cross-call byte-identity), nor are cache-bypassing ones.
+// option. Cache-bypassing requests are never memoized.
 func repairMemoKey(policies []Policy, opts Options) (string, bool) {
-	if opts.DisableSolveCache || opts.WarmStart {
+	if opts.DisableSolveCache {
 		return "", false
 	}
 	o := opts
