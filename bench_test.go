@@ -278,6 +278,50 @@ func BenchmarkStateCloneDC256(b *testing.B) {
 // stateSink keeps the compiler from discarding benchmarked results.
 var stateSink *harc.State
 
+// BenchmarkPolicyViolationsDC256 times policy.Violations over all 2256
+// policies of the broken dc-256 preset on the HARC's prebuilt tcETGs:
+// the sweep System.Verify runs and core.Repair's decomposition runs
+// again. It fans out over GOMAXPROCS workers, so run it at -cpu 1 and
+// at the machine's default to separate the per-policy cost from the
+// parallel speedup.
+func BenchmarkPolicyViolationsDC256(b *testing.B) {
+	inst, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := inst.Harc()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(policy.Violations(h, inst.Policies)) == 0 {
+			b.Fatal("broken preset has no violations")
+		}
+	}
+}
+
+// BenchmarkBuildTCETGFromStateDC256 times rebuilding every dc-256
+// traffic class's tcETG from the pre-repair state, one after another:
+// the per-class graph the repaired-state verifiers and the greedy
+// fallback build.
+func BenchmarkBuildTCETGFromStateDC256(b *testing.B) {
+	inst, err := generate.Preset("dc-256", 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := inst.Harc()
+	st := harc.StateOf(h)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tc := range h.TCs {
+			etgSink = harc.BuildTCETGFromState(h, st, tc)
+		}
+	}
+}
+
+// etgSink keeps the compiler from discarding benchmarked graphs.
+var etgSink *arc.ETG
+
 // Parallel per-destination solving (the "10 problems in parallel" claim).
 func BenchmarkAblationParallel4(b *testing.B) {
 	opts := core.DefaultOptions()

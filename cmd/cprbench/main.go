@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	cprbench [-bench REGEX] [-count 5] [-benchtime 1x] [-o FILE]
+//	cprbench [-bench REGEX] [-count 5] [-benchtime 1x] [-cpu LIST] [-o FILE]
+//
+// -cpu is passed to go test: "-cpu 1,2" runs every benchmark at
+// GOMAXPROCS 1 and 2. Go test names a run at GOMAXPROCS N > 1
+// "BenchmarkX-N" and a run at 1 plain "BenchmarkX", and the snapshot
+// keeps those names, so each series says which setting it ran at.
 //
 // The snapshot embeds the raw `go test -bench` lines (the format
 // benchstat consumes) plus a parsed per-benchmark summary. To compare a
@@ -43,8 +48,9 @@ import (
 // (core-guided OLL vs linear descent), the whole-core.Repair dc-256 pair
 // whose solve-ns/op metric is the OLL speedup evidence, and the dc-256
 // translate and state-clone benchmarks of the copy-on-write repair
-// state.
-const HeadlineBenchmarks = "BenchmarkTable2RepairEncodingFig2a$|BenchmarkAblationGranularityPerDst$|BenchmarkServerRepairWarm$|BenchmarkServerRepairChurn$|BenchmarkCompressRepairFatTreeOn$|BenchmarkCompressRepairFatTreeOff$|BenchmarkCompressQuotientBuild$|BenchmarkCompressVerifyQuotientOn$|BenchmarkCompressVerifyQuotientOff$|BenchmarkHarcStateOfDelta$|BenchmarkHarcStateOfFull$|BenchmarkSATPigeonhole$|BenchmarkSATIncrementalAssumptions$|BenchmarkSATReduceAndGC$|BenchmarkMaxSATOLL$|BenchmarkMaxSATLinear$|BenchmarkMaxSATWeightedOLL$|BenchmarkMaxSATWeightedLinear$|BenchmarkCoreRepairDC256OLL$|BenchmarkCoreRepairDC256Linear$|BenchmarkTranslateDC256$|BenchmarkStateCloneDC256$"
+// state, and the dc-256 policy sweep and state-driven tcETG build of the
+// index-addressed ETGs.
+const HeadlineBenchmarks = "BenchmarkTable2RepairEncodingFig2a$|BenchmarkAblationGranularityPerDst$|BenchmarkServerRepairWarm$|BenchmarkServerRepairChurn$|BenchmarkCompressRepairFatTreeOn$|BenchmarkCompressRepairFatTreeOff$|BenchmarkCompressQuotientBuild$|BenchmarkCompressVerifyQuotientOn$|BenchmarkCompressVerifyQuotientOff$|BenchmarkHarcStateOfDelta$|BenchmarkHarcStateOfFull$|BenchmarkSATPigeonhole$|BenchmarkSATIncrementalAssumptions$|BenchmarkSATReduceAndGC$|BenchmarkMaxSATOLL$|BenchmarkMaxSATLinear$|BenchmarkMaxSATWeightedOLL$|BenchmarkMaxSATWeightedLinear$|BenchmarkCoreRepairDC256OLL$|BenchmarkCoreRepairDC256Linear$|BenchmarkTranslateDC256$|BenchmarkStateCloneDC256$|BenchmarkPolicyViolationsDC256$|BenchmarkBuildTCETGFromStateDC256$"
 
 // HeadlinePackages are the packages holding the headline benchmarks.
 const HeadlinePackages = "repro,repro/internal/compress,repro/internal/smt/sat,repro/internal/smt/maxsat"
@@ -56,12 +62,17 @@ type Snapshot struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	Benchtime  string `json:"benchtime"`
-	Count      int    `json:"count"`
+	// CPU is the -cpu list the benchmarks ran at, empty for the
+	// default (GOMAXPROCS above).
+	CPU       string `json:"cpu,omitempty"`
+	Benchtime string `json:"benchtime"`
+	Count     int    `json:"count"`
 	// Lines are the raw benchmark result lines, directly consumable by
 	// benchstat after extraction with jq -r '.lines[]'.
 	Lines []string `json:"lines"`
-	// Benchmarks summarizes each benchmark's runs (parsed from Lines).
+	// Benchmarks summarizes each benchmark's runs (parsed from Lines),
+	// keyed by the name go test printed: "BenchmarkX-N" ran at
+	// GOMAXPROCS N, plain "BenchmarkX" at 1.
 	Benchmarks map[string]*Series `json:"benchmarks"`
 }
 
@@ -82,20 +93,24 @@ func main() {
 		bench     = flag.String("bench", HeadlineBenchmarks, "benchmark regex to run")
 		count     = flag.Int("count", 5, "runs per benchmark")
 		benchtime = flag.String("benchtime", "1x", "go test -benchtime value")
+		cpu       = flag.String("cpu", "", "go test -cpu list (default: GOMAXPROCS only)")
 		pkg       = flag.String("pkg", HeadlinePackages, "comma-separated packages holding the benchmarks")
 		out       = flag.String("o", "", "output file (default stdout)")
 	)
 	flag.Parse()
-	if err := run(*bench, *benchtime, *pkg, *out, *count); err != nil {
+	if err := run(*bench, *benchtime, *cpu, *pkg, *out, *count); err != nil {
 		fmt.Fprintln(os.Stderr, "cprbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(bench, benchtime, pkg, out string, count int) error {
+func run(bench, benchtime, cpu, pkg, out string, count int) error {
 	args := []string{"test", "-run", "^$",
 		"-bench", bench, "-benchmem",
 		"-benchtime", benchtime, "-count", strconv.Itoa(count)}
+	if cpu != "" {
+		args = append(args, "-cpu", cpu)
+	}
 	args = append(args, strings.Split(pkg, ",")...)
 	cmd := exec.Command("go", args...)
 	var stdout bytes.Buffer
@@ -110,6 +125,7 @@ func run(bench, benchtime, pkg, out string, count int) error {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPU:        cpu,
 		Benchtime:  benchtime,
 		Count:      count,
 		Benchmarks: map[string]*Series{},
@@ -122,7 +138,7 @@ func run(bench, benchtime, pkg, out string, count int) error {
 			continue
 		}
 		snap.Lines = append(snap.Lines, line)
-		name := strings.SplitN(m[1], "-", 2)[0] // strip -GOMAXPROCS suffix
+		name := m[1]
 		s := snap.Benchmarks[name]
 		if s == nil {
 			s = &Series{}

@@ -162,16 +162,7 @@ func (s *System) Verify(policies []Policy) []Policy {
 // policy is graph work (no solver), so cancellation granularity is one
 // policy.
 func (s *System) VerifyCtx(ctx context.Context, policies []Policy) ([]Policy, error) {
-	var violated []Policy
-	for _, p := range policies {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !policy.Check(s.HARC, p) {
-			violated = append(violated, p)
-		}
-	}
-	return violated, nil
+	return policy.ViolationsCtx(ctx, s.HARC, policies)
 }
 
 // Explain returns one human-readable counterexample line per violated

@@ -3,10 +3,14 @@ package cpr
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/policy"
 )
 
 func loadFigure2a(t *testing.T) *System {
@@ -208,5 +212,42 @@ func TestPlanRendering(t *testing.T) {
 	text := rep.Plan.String()
 	if !strings.Contains(text, "ip route") {
 		t.Errorf("expected a static route in the plan:\n%s", text)
+	}
+}
+
+// TestVerifyCtxMatchesSerial: the parallel sweep behind Verify and
+// VerifyCtx returns exactly what checking each policy in turn returns,
+// in input order, at one worker and at four.
+func TestVerifyCtxMatchesSerial(t *testing.T) {
+	sys := loadFigure2a(t)
+	var spec strings.Builder
+	for _, tc := range sys.Network.TrafficClasses() {
+		for _, line := range []string{"always-blocked %s %s", "always-waypoint %s %s", "reachable %s %s 1", "reachable %s %s 2", "primary-path %s %s A,B,C"} {
+			fmt.Fprintf(&spec, line+"\n", tc.Src.Name, tc.Dst.Name)
+		}
+	}
+	policies, err := sys.ParsePolicies(spec.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Policy
+	for _, p := range policies {
+		if !policy.Check(sys.HARC, p) {
+			want = append(want, p)
+		}
+	}
+	if len(want) == 0 || len(want) == len(policies) {
+		t.Fatalf("want a mix of verdicts, got %d of %d violated", len(want), len(policies))
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := sys.VerifyCtx(context.Background(), policies)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: VerifyCtx = %v, %v; want %v", procs, got, err, want)
+		}
+		if got := sys.Verify(policies); !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: Verify = %v, want %v", procs, got, want)
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }

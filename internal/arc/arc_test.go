@@ -104,7 +104,7 @@ func TestTable1OriginalPolicies(t *testing.T) {
 	}
 	// EP3: S reaches T with at most one link failure (k=2) — violated.
 	st := BuildTCETG(slots, tcOf(n, "S", "T"))
-	if VerifyKReachable(st, n, 2) {
+	if VerifyKReachable(st, 2) {
 		t.Error("EP3 should be violated on the original network")
 	}
 	if MaxDisjointFlow(st) != 1 {
@@ -115,7 +115,7 @@ func TestTable1OriginalPolicies(t *testing.T) {
 		t.Error("EP4 should hold on the original network")
 	}
 	// Reachability under zero failures (k=1) does hold for S->T.
-	if !VerifyKReachable(st, n, 1) {
+	if !VerifyKReachable(st, 1) {
 		t.Error("S->T should be reachable with no failures")
 	}
 }
@@ -135,7 +135,7 @@ func TestFigure2bSideEffects(t *testing.T) {
 	slots := Slots(n)
 
 	st := BuildTCETG(slots, tcOf(n, "S", "T"))
-	if !VerifyKReachable(st, n, 2) {
+	if !VerifyKReachable(st, 2) {
 		t.Error("EP3 should now hold")
 	}
 	if MaxDisjointFlow(st) != 2 {
@@ -180,7 +180,7 @@ func TestFigure2cSatisfiesAll(t *testing.T) {
 	if !VerifyAlwaysWaypoint(st) {
 		t.Error("EP2 should hold after Figure 2c repair")
 	}
-	if !VerifyKReachable(st, n, 2) {
+	if !VerifyKReachable(st, 2) {
 		t.Error("EP3 should hold after Figure 2c repair")
 	}
 	if !VerifyPrimaryPath(BuildTCETG(slots, tcOf(n, "R", "T")), BuildRoutingETG(slots, tcOf(n, "R", "T")), []string{"A", "B", "C"}) {
@@ -208,7 +208,7 @@ func TestFigure2dSatisfiesAll(t *testing.T) {
 	if !VerifyAlwaysWaypoint(st) {
 		t.Error("EP2 should hold after Figure 2d repair")
 	}
-	if !VerifyKReachable(st, n, 2) {
+	if !VerifyKReachable(st, 2) {
 		t.Error("EP3 should hold after Figure 2d repair")
 	}
 	if !VerifyPrimaryPath(BuildTCETG(slots, tcOf(n, "R", "T")), BuildRoutingETG(slots, tcOf(n, "R", "T")), []string{"A", "B", "C"}) {

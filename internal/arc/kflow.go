@@ -22,7 +22,8 @@ import (
 // finite. The computation stops as soon as k augmenting paths exist, so a
 // typical PC3 check costs O(k * |E|) instead of O(C(links, k-1) * |E|).
 //
-// VerifyKReachableExhaustive retains the ground-truth subset enumeration;
+// The package tests keep the ground-truth subset enumeration
+// (VerifyKReachableExhaustive in oracle_test.go);
 // TestKFlowMatchesExhaustive pins the equivalence on randomized networks.
 
 // flowEdge is one direction of a residual pair. Arcs are created in pairs
@@ -42,13 +43,16 @@ type flowEdge struct {
 // instead of reallocated: a steady-state check allocates nothing.
 type linkFlowNet struct {
 	edges    []flowEdge
-	adjOff   []int32          // CSR row offsets per vertex, len = V+1
-	adjList  []int32          // arc ids grouped by tail vertex, len = len(edges)
-	linkSeq  []*topology.Link // first-seen order
-	linkEdge []int32          // bottleneck arc id per linkSeq entry
+	adjOff   []int32 // CSR row offsets per vertex, len = V+1
+	adjList  []int32 // arc ids grouped by tail vertex, len = len(edges)
+	linkSeq  []*Slot // per link in first-seen order: its first slot
+	linkEdge []int32 // bottleneck arc id per linkSeq entry
 
-	// Scratch reused across pooled checks.
-	linkID  map[*topology.Link]int32
+	// Scratch reused across pooled checks. linkID maps a network link
+	// position (Slot.link) to its linkSeq index; it is -1 everywhere
+	// between builds and grows to the largest position seen, so one
+	// pooled net serves networks of any size.
+	linkID  []int32
 	eKind   []int32 // per ETG edge: link index, or -1 for non-failable
 	eFrom   []int32
 	eTo     []int32
@@ -60,7 +64,7 @@ type linkFlowNet struct {
 }
 
 var lfPool = sync.Pool{
-	New: func() any { return &linkFlowNet{linkID: make(map[*topology.Link]int32)} },
+	New: func() any { return new(linkFlowNet) },
 }
 
 // grow returns s resized to n, reusing its backing array when possible.
@@ -78,26 +82,29 @@ func grow(s []int32, n int) []int32 {
 func (f *linkFlowNet) build(e *ETG, k int) {
 	nv := e.G.NumVertices()
 	f.linkSeq = f.linkSeq[:0]
-	clear(f.linkID)
-
 	f.eKind = f.eKind[:0]
 	f.eFrom = f.eFrom[:0]
 	f.eTo = f.eTo[:0]
 	e.G.Edges(func(id graph.E, ed graph.Edge) {
 		li := int32(-1)
-		if s := e.SlotOf[id]; s != nil && s.Kind == SlotInterDevice {
-			var ok bool
-			li, ok = f.linkID[s.Link]
-			if !ok {
+		if s := e.SlotOf[id]; s.Kind == SlotInterDevice {
+			for len(f.linkID) <= s.link {
+				f.linkID = append(f.linkID, -1)
+			}
+			li = f.linkID[s.link]
+			if li < 0 {
 				li = int32(len(f.linkSeq))
-				f.linkID[s.Link] = li
-				f.linkSeq = append(f.linkSeq, s.Link)
+				f.linkID[s.link] = li
+				f.linkSeq = append(f.linkSeq, s)
 			}
 		}
 		f.eKind = append(f.eKind, li)
 		f.eFrom = append(f.eFrom, int32(ed.From))
 		f.eTo = append(f.eTo, int32(ed.To))
 	})
+	for _, s := range f.linkSeq {
+		f.linkID[s.link] = -1
+	}
 
 	L := len(f.linkSeq)
 	nInter, nOther := 0, 0
@@ -315,7 +322,7 @@ func MinLinkCut(e *ETG, k int) (links []*topology.Link, ok bool) {
 		ed := f.edges[id]
 		from := f.edges[id^1].to
 		if seen[from] && !seen[ed.to] {
-			links = append(links, f.linkSeq[i])
+			links = append(links, f.linkSeq[i].Link)
 		}
 	}
 	sort.Slice(links, func(i, j int) bool { return links[i].Name() < links[j].Name() })

@@ -116,14 +116,14 @@ func TestPropertyVerifierConsistency(t *testing.T) {
 		etg := BuildTCETG(slots, tc)
 		prev := true
 		for k := 1; k <= 3; k++ {
-			ok := VerifyKReachable(etg, n, k)
+			ok := VerifyKReachable(etg, k)
 			if ok && !prev {
 				return false // K-reachable but not (K-1)-reachable
 			}
 			prev = ok
 		}
 		// Blocked and reachable are mutually exclusive.
-		if VerifyAlwaysBlocked(etg) && VerifyKReachable(etg, n, 1) {
+		if VerifyAlwaysBlocked(etg) && VerifyKReachable(etg, 1) {
 			return false
 		}
 		return true
@@ -150,7 +150,7 @@ func TestPropertyMaxFlowSoundness(t *testing.T) {
 		// Exact verification for k = flow must hold whenever the flow
 		// paths are truly link-disjoint; with at most one edge pair per
 		// link per direction in these small networks, check directly.
-		if flow >= 2 && !VerifyKReachable(etg, n, 2) {
+		if flow >= 2 && !VerifyKReachable(etg, 2) {
 			// Only a contradiction if the two flow paths share no
 			// physical link; MaxDisjointFlow counts directed edges, so a
 			// link used in both directions could overcount. Accept that
@@ -233,7 +233,7 @@ func TestKFlowMatchesExhaustive(t *testing.T) {
 		for _, tc := range n.TrafficClasses() {
 			etg := BuildTCETG(slots, tc)
 			for k := 1; k <= 4; k++ {
-				if VerifyKReachable(etg, n, k) != VerifyKReachableExhaustive(etg, n, k) {
+				if VerifyKReachable(etg, k) != VerifyKReachableExhaustive(etg, n, k) {
 					return false
 				}
 			}
@@ -261,12 +261,12 @@ func TestMinLinkCutWitness(t *testing.T) {
 		for k := 1; k <= 4; k++ {
 			links, found := MinLinkCut(etg, k)
 			if !found {
-				if !VerifyKReachable(etg, n, k) {
+				if !VerifyKReachable(etg, k) {
 					return false // no witness but policy violated
 				}
 				continue
 			}
-			if VerifyKReachable(etg, n, k) {
+			if VerifyKReachable(etg, k) {
 				return false // witness against a holding policy
 			}
 			if len(links) >= k {

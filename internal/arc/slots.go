@@ -69,11 +69,21 @@ type Slot struct {
 	Intf   *topology.Interface
 
 	key string // cached Key(), filled by Slots
+	// costKey caches CostKey() for inter-device slots, filled by Slots.
+	costKey string
 
-	// fromV/toV cache FromVertex()/ToVertex(), filled by Slots: the
-	// builder concatenates vertex names once per ETG per slot, which
-	// dominates large builds without the cache.
-	fromV, toV string
+	// index is the slot's position in its slot table and link the
+	// position of Link in the network's link list (inter-device slots
+	// only), both filled by Slots: ETGs and the PC3 flow network address
+	// per-slot and per-link data by them instead of by key.
+	index, link int
+
+	// fromV/toV cache FromVertex()/ToVertex(), and fromID/toID number
+	// those names within the slot table (SRC is 0, DST is 1), filled by
+	// Slots: the builder maps table vertices to graph vertices through
+	// a slice instead of hashing names once per ETG per slot.
+	fromV, toV   string
+	fromID, toID int
 	// adjUp caches adjacencyUp() (valid when adjCached): adjacency
 	// depends only on the immutable interface/passive configuration, and
 	// the uncached path scans every process interface per call.
@@ -104,6 +114,16 @@ func (s *Slot) keyUncached() string {
 		return fmt.Sprintf("dst:%s>%s", s.FromProc.Name(), s.Subnet.Name)
 	}
 	return "?"
+}
+
+// CostKey names the egress interface ("<device>/<interface>") of an
+// inter-device slot, the unit its edge cost is configured at, and is
+// empty for every other kind. Slots precomputes it.
+func (s *Slot) CostKey() string {
+	if s.costKey != "" || s.Kind != SlotInterDevice {
+		return s.costKey
+	}
+	return s.FromIntf.Device.Name + "/" + s.FromIntf.Name
 }
 
 // FromVertex returns the tail ETG vertex name.
@@ -150,7 +170,9 @@ func (s *Slot) toVertexUncached() string {
 }
 
 // Slots enumerates every candidate edge slot of the network in a
-// deterministic order.
+// deterministic order (by key) and numbers them by position. Every call
+// returns a fresh table, so positions are stable within one table and
+// meaningless across tables.
 func Slots(n *topology.Network) []*Slot {
 	var slots []*Slot
 
@@ -174,7 +196,7 @@ func Slots(n *topology.Network) []*Slot {
 
 	// Inter-device slots: one per direction per same-protocol process
 	// pair over each physical link.
-	for _, l := range n.Links {
+	for li, l := range n.Links {
 		ends := [2][2]*topology.Interface{{l.A, l.B}, {l.B, l.A}}
 		for _, pair := range ends {
 			from, to := pair[0], pair[1]
@@ -190,6 +212,7 @@ func Slots(n *topology.Network) []*Slot {
 						Link:     l,
 						FromIntf: from,
 						ToIntf:   to,
+						link:     li,
 					})
 				}
 			}
@@ -215,11 +238,26 @@ func Slots(n *topology.Network) []*Slot {
 		s.fromV = s.fromVertexUncached()
 		s.toV = s.toVertexUncached()
 		if s.Kind == SlotInterDevice {
+			s.costKey = s.CostKey()
 			s.adjUp = s.adjacencyUpUncached()
 			s.adjCached = true
 		}
 	}
 	sort.Slice(slots, func(i, j int) bool { return slots[i].Key() < slots[j].Key() })
+	vertexID := map[string]int{"SRC": 0, "DST": 1}
+	number := func(name string) int {
+		id, ok := vertexID[name]
+		if !ok {
+			id = len(vertexID)
+			vertexID[name] = id
+		}
+		return id
+	}
+	for i, s := range slots {
+		s.index = i
+		s.fromID = number(s.fromV)
+		s.toID = number(s.toV)
+	}
 	return slots
 }
 

@@ -553,6 +553,9 @@ func buildProblems(h *harc.HARC, policies []policy.Policy, opts Options) ([]*pro
 		})
 	case PerDst:
 		groups := policy.GroupByDst(policies)
+		// One parallel sweep decides every group: grouping the violated
+		// policies by destination keeps each group's input order.
+		violated := policy.GroupByDst(policy.Violations(h, policies))
 		// Destinations coupled by an isolation policy must be solved
 		// together; collect the set of coupled destination names.
 		coupledDst := map[string]bool{}
@@ -562,7 +565,7 @@ func buildProblems(h *harc.HARC, policies []policy.Policy, opts Options) ([]*pro
 				coupledDst[p.TC2.Dst.Name] = true
 			}
 		}
-		var pc4Group []policy.Policy
+		var pc4Group, pc4Viol []policy.Policy
 		for _, name := range policy.SortedGroupNames(groups) {
 			g := groups[name]
 			merge := coupledDst[name]
@@ -576,9 +579,10 @@ func buildProblems(h *harc.HARC, policies []policy.Policy, opts Options) ([]*pro
 				// isolation couples classes across destinations, so such
 				// groups are merged into one problem.
 				pc4Group = append(pc4Group, g...)
+				pc4Viol = append(pc4Viol, violated[name]...)
 				continue
 			}
-			viol := policy.Violations(h, g)
+			viol := violated[name]
 			if len(viol) == 0 {
 				continue // no violated policy for this destination
 			}
@@ -590,16 +594,14 @@ func buildProblems(h *harc.HARC, policies []policy.Policy, opts Options) ([]*pro
 				freeze:   true,
 			})
 		}
-		if len(pc4Group) > 0 {
-			if viol := policy.Violations(h, pc4Group); len(viol) > 0 {
-				problems = append(problems, &problem{
-					label:    "pc4-merged",
-					tcs:      uniqueTCs(pc4Group),
-					policies: pc4Group,
-					violated: viol,
-					freeze:   true,
-				})
-			}
+		if len(pc4Viol) > 0 {
+			problems = append(problems, &problem{
+				label:    "pc4-merged",
+				tcs:      uniqueTCs(pc4Group),
+				policies: pc4Group,
+				violated: pc4Viol,
+				freeze:   true,
+			})
 		}
 	default:
 		return nil, fmt.Errorf("core: unknown granularity %d", opts.Granularity)
@@ -1110,57 +1112,17 @@ func VerifyRepair(h *harc.HARC, st *harc.State, policies []policy.Policy) []poli
 // policy. Policies outside the set were verified satisfied before the
 // repair and their class state is untouched (see Result.Touched), so
 // skipping them loses nothing. Checks fan out over workers goroutines
-// in contiguous input-order chunks — same-class policies share a worker
-// and its cached per-class graphs — and the returned violations are in
-// input order regardless of parallelism.
+// (policy.StateViolations) and the returned violations are in input
+// order regardless of parallelism.
 func VerifyRepairIncremental(h *harc.HARC, st *harc.State, policies []policy.Policy, touched map[string]bool, workers int) []policy.Policy {
-	need := make([]int, 0, len(policies))
-	for i, p := range policies {
-		if touched == nil || touched[p.TC.Key()] || (p.Kind == policy.Isolated && touched[p.TC2.Key()]) {
-			need = append(need, i)
-		}
-	}
-	if len(need) == 0 {
-		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(need) {
-		workers = len(need)
-	}
-	bad := make([]bool, len(need))
-	check := func(lo, hi int) {
-		checker := policy.NewStateChecker(h, st)
-		for j := lo; j < hi; j++ {
-			if !checker.Check(policies[need[j]]) {
-				bad[j] = true
+	need := policies
+	if touched != nil {
+		need = make([]policy.Policy, 0, len(policies))
+		for _, p := range policies {
+			if touched[p.TC.Key()] || (p.Kind == policy.Isolated && touched[p.TC2.Key()]) {
+				need = append(need, p)
 			}
 		}
 	}
-	if workers == 1 {
-		check(0, len(need))
-	} else {
-		chunk := (len(need) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(need); lo += chunk {
-			hi := lo + chunk
-			if hi > len(need) {
-				hi = len(need)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				check(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	var violated []policy.Policy
-	for j, i := range need {
-		if bad[j] {
-			violated = append(violated, policies[i])
-		}
-	}
-	return violated
+	return policy.StateViolations(h, st, need, workers)
 }

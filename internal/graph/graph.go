@@ -44,19 +44,51 @@ func New() *Digraph {
 	return &Digraph{index: make(map[string]V)}
 }
 
-// NewWithCap returns an empty digraph with storage preallocated for nv
-// vertices and ne edges. Capacities are hints: exceeding them is legal
-// and merely grows the backing storage. Callers that build many graphs
-// with known sizes (ETG construction) use this to avoid map rehashing
-// and slice regrowth on the hot path.
-func NewWithCap(nv, ne int) *Digraph {
-	return &Digraph{
-		names:   make([]string, 0, nv),
-		index:   make(map[string]V, nv),
-		edges:   make([]Edge, 0, ne),
-		removed: make([]bool, 0, ne),
-		out:     make([][]E, 0, nv),
-		in:      make([][]E, 0, nv),
+// FromEdges returns the digraph with the given vertex names (vertex i
+// is names[i]) and edges (edge i is edges[i]), taking ownership of both
+// slices. Every adjacency list is carved from one backing array per
+// direction, so a graph whose vertices and edges are known up front
+// (ETG construction) costs a handful of allocations instead of a few
+// per vertex. Names must be distinct. The graph has no name index until
+// the first AddVertex: Vertex scans the names instead.
+func FromEdges(names []string, edges []Edge) *Digraph {
+	g := &Digraph{
+		names:   names,
+		edges:   edges,
+		removed: make([]bool, len(edges)),
+		out:     make([][]E, len(names)),
+		in:      make([][]E, len(names)),
+		nlive:   len(edges),
+	}
+	g.carve()
+	return g
+}
+
+// carve fills every vertex's out- and in-list with its edge ids in id
+// order, as full-capacity windows of one array per direction: a later
+// AddEdge reallocates the list it grows rather than overwrite the
+// neighbouring vertex's.
+func (g *Digraph) carve() {
+	nv := len(g.names)
+	off := make([]int32, 2*(nv+1))
+	outOff, inOff := off[:nv+1], off[nv+1:]
+	for _, ed := range g.edges {
+		outOff[ed.From+1]++
+		inOff[ed.To+1]++
+	}
+	for v := 0; v < nv; v++ {
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
+	}
+	backing := make([]E, 2*len(g.edges))
+	outB, inB := backing[:len(g.edges)], backing[len(g.edges):]
+	for v := 0; v < nv; v++ {
+		g.out[v] = outB[outOff[v]:outOff[v]:outOff[v+1]]
+		g.in[v] = inB[inOff[v]:inOff[v]:inOff[v+1]]
+	}
+	for i, ed := range g.edges {
+		g.out[ed.From] = append(g.out[ed.From], E(i))
+		g.in[ed.To] = append(g.in[ed.To], E(i))
 	}
 }
 
@@ -64,15 +96,17 @@ func NewWithCap(nv, ne int) *Digraph {
 func (g *Digraph) Clone() *Digraph {
 	c := &Digraph{
 		names:   append([]string(nil), g.names...),
-		index:   make(map[string]V, len(g.index)),
 		edges:   append([]Edge(nil), g.edges...),
 		removed: append([]bool(nil), g.removed...),
 		out:     make([][]E, len(g.out)),
 		in:      make([][]E, len(g.in)),
 		nlive:   g.nlive,
 	}
-	for k, v := range g.index {
-		c.index[k] = v
+	if g.index != nil {
+		c.index = make(map[string]V, len(g.index))
+		for k, v := range g.index {
+			c.index[k] = v
+		}
 	}
 	for i := range g.out {
 		c.out[i] = append([]E(nil), g.out[i]...)
@@ -99,7 +133,10 @@ func (g *Digraph) CloneEdgesShared() *Digraph {
 // that name.
 func (g *Digraph) AddVertex(name string) V {
 	if g.index == nil {
-		g.index = make(map[string]V)
+		g.index = make(map[string]V, len(g.names))
+		for i, n := range g.names {
+			g.index[n] = V(i)
+		}
 	}
 	if v, ok := g.index[name]; ok {
 		return v
@@ -112,8 +149,18 @@ func (g *Digraph) AddVertex(name string) V {
 	return v
 }
 
-// Vertex returns the vertex named name, or None if absent.
+// Vertex returns the vertex named name, or None if absent. On a graph
+// without a name index (FromEdges) it is a linear scan; no hot path
+// looks vertices up by name.
 func (g *Digraph) Vertex(name string) V {
+	if g.index == nil {
+		for i, n := range g.names {
+			if n == name {
+				return V(i)
+			}
+		}
+		return V(None)
+	}
 	if v, ok := g.index[name]; ok {
 		return v
 	}

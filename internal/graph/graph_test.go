@@ -393,3 +393,74 @@ func TestDisjointPathsMatchFlow(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFromEdgesMatchesIncremental: a bulk-built graph has the vertices,
+// edges and per-vertex adjacency order of the same graph built one
+// AddVertex/AddEdge at a time, answers Vertex without a name index, and
+// grows like any other graph afterwards.
+func TestFromEdgesMatchesIncremental(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		nv := 1 + r.Intn(8)
+		names := make([]string, nv)
+		inc := New()
+		for i := range names {
+			names[i] = string(rune('a' + i))
+			inc.AddVertex(names[i])
+		}
+		var edges []Edge
+		for i := r.Intn(20); i > 0; i-- {
+			ed := Edge{From: V(r.Intn(nv)), To: V(r.Intn(nv)), Weight: int64(r.Intn(5))}
+			edges = append(edges, ed)
+			inc.AddEdge(ed.From, ed.To, ed.Weight)
+		}
+		bulk := FromEdges(append([]string(nil), names...), append([]Edge(nil), edges...))
+		if bulk.String() != inc.String() || bulk.NumEdges() != inc.NumEdges() {
+			return false
+		}
+		for v := V(0); v < V(nv); v++ {
+			if bulk.Vertex(names[v]) != v {
+				return false
+			}
+		}
+		if !sameAdjacency(bulk, inc) {
+			return false
+		}
+		// Appending to one vertex's lists must not clobber the next one's.
+		x := bulk.AddVertex("x")
+		for v := V(0); v < V(nv); v++ {
+			bulk.AddEdge(v, x, 9)
+			bulk.AddEdge(x, v, 9)
+			inc.AddEdge(v, inc.AddVertex("x"), 9)
+			inc.AddEdge(inc.AddVertex("x"), v, 9)
+		}
+		return bulk.String() == inc.String() && bulk.Vertex("x") == x && sameAdjacency(bulk, inc)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameAdjacency reports whether a and b list the same edge ids, in the
+// same order, out of and into every vertex.
+func sameAdjacency(a, b *Digraph) bool {
+	if a.NumVertices() != b.NumVertices() {
+		return false
+	}
+	for v := V(0); v < V(a.NumVertices()); v++ {
+		var x, y []E
+		a.Out(v, func(e E, _ Edge) { x = append(x, e) })
+		b.Out(v, func(e E, _ Edge) { y = append(y, e) })
+		a.In(v, func(e E, _ Edge) { x = append(x, -e-1) })
+		b.In(v, func(e E, _ Edge) { y = append(y, -e-1) })
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if x[i] != y[i] {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -79,11 +79,7 @@ const bigCap = int64(1) << 40
 // effectively infinite capacity to intra-device edges.
 func removableCap(etg *arc.ETG) func(graph.E) int64 {
 	return func(e graph.E) int64 {
-		s := etg.SlotOf[e]
-		if s == nil {
-			return bigCap
-		}
-		switch s.Kind {
+		switch etg.SlotOf[e].Kind {
 		case arc.SlotInterDevice, arc.SlotSource, arc.SlotDest:
 			return 1
 		}
@@ -123,7 +119,7 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	}
 	// Only inter-device edges can host a middlebox.
 	capOf := func(e graph.E) int64 {
-		if s := etg.SlotOf[e]; s != nil && s.Kind == arc.SlotInterDevice {
+		if etg.SlotOf[e].Kind == arc.SlotInterDevice {
 			return 1
 		}
 		return bigCap
@@ -152,15 +148,14 @@ func repairPC2(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 // the edges in the paths"). dETG-level additions become static routes,
 // tcETG-level additions ACL removals.
 func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
-	full, slotOf := candidateETG(h, p.TC)
-	src, dst := full.Vertex("SRC"), full.Vertex("DST")
+	full := candidateETG(h, p.TC)
 	capOf := func(e graph.E) int64 {
-		if s := slotOf[e]; s != nil && s.Kind == arc.SlotInterDevice {
+		if full.SlotOf[e].Kind == arc.SlotInterDevice {
 			return 1
 		}
 		return bigCap
 	}
-	paths := full.DisjointPaths(src, dst, capOf)
+	paths := full.G.DisjointPaths(full.Src, full.Dst, capOf)
 	if len(paths) < p.K {
 		return 0, fmt.Errorf("greedy: topology supports only %d disjoint paths for %s (need %d)", len(paths), p.TC, p.K)
 	}
@@ -168,8 +163,7 @@ func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 	tck, dstName := p.TC.Key(), p.TC.Dst.Name
 	for _, path := range paths[:p.K] {
 		for i := 0; i+1 < len(path); i++ {
-			e := full.FindEdge(path[i], path[i+1])
-			s := slotOf[e]
+			s := full.SlotOf[full.G.FindEdge(path[i], path[i+1])]
 			key := s.Key()
 			if s.Kind != arc.SlotSource && !st.Dst[dstName][key] {
 				st.SetDst(dstName, key, true) // realized by a static route
@@ -185,27 +179,12 @@ func repairPC3(h *harc.HARC, st *harc.State, p policy.Policy) (int, error) {
 }
 
 // candidateETG builds the graph of every candidate slot for tc ("all
-// possible edges"), ignoring current presence.
-func candidateETG(h *harc.HARC, tc topology.TrafficClass) (*graph.Digraph, map[graph.E]*arc.Slot) {
-	g := graph.New()
-	slotOf := map[graph.E]*arc.Slot{}
-	g.AddVertex("SRC")
-	g.AddVertex("DST")
-	for _, s := range h.Slots {
-		switch s.Kind {
-		case arc.SlotSource:
-			if s.Subnet != tc.Src {
-				continue
-			}
-		case arc.SlotDest:
-			if s.Subnet != tc.Dst {
-				continue
-			}
+// possible edges"), ignoring current presence, with unit weights.
+func candidateETG(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
+	return arc.Build(h.Slots, arc.LevelTC, tc, tc.Dst, func(s *arc.Slot) (int64, bool) {
+		if s.Kind == arc.SlotSource && s.Subnet != tc.Src || s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
+			return 0, false
 		}
-		from := g.AddVertex(s.FromVertex())
-		to := g.AddVertex(s.ToVertex())
-		e := g.AddEdge(from, to, 1)
-		slotOf[e] = s
-	}
-	return g, slotOf
+		return 1, true
+	})
 }

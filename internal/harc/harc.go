@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arc"
-	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -184,12 +183,7 @@ func (h *HARC) ValidateHierarchy() error {
 // directed egress interface. Routing protocols do not allow per-class or
 // per-destination costs (paper §5.1, constraint 13 discussion), so every
 // slot leaving the same interface shares one cost.
-func CostKey(s *arc.Slot) string {
-	if s.Kind != arc.SlotInterDevice {
-		return ""
-	}
-	return s.FromIntf.Device.Name + "/" + s.FromIntf.Name
-}
+func CostKey(s *arc.Slot) string { return s.CostKey() }
 
 // State is an explicit assignment of edge presence per HARC level plus
 // shared edge costs: the search space of the repair engine. Maps are
@@ -941,34 +935,17 @@ func (st *State) SlotCost(s *arc.Slot, dst *topology.Subnet) int64 {
 // the graph with exactly the slots marked present at the tc level, using
 // the state's costs. Used to re-verify repaired HARCs before translation.
 func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
-	etg := &arc.ETG{
-		Level:     arc.LevelTC,
-		TC:        tc,
-		DstSubnet: tc.Dst,
-		G:         graph.New(),
-		SlotOf:    make(map[graph.E]*arc.Slot),
-		EdgeOf:    make(map[string]graph.E),
-	}
-	etg.Src = etg.G.AddVertex("SRC")
-	etg.Dst = etg.G.AddVertex("DST")
-	etg.Waypoints = st.Waypoint
 	m := st.TC[tc.Key()]
-	for _, s := range h.Slots {
+	etg := arc.Build(h.Slots, arc.LevelTC, tc, tc.Dst, func(s *arc.Slot) (int64, bool) {
+		if s.Kind == arc.SlotSource && s.Subnet != tc.Src || s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
+			return 0, false
+		}
 		if !m[s.Key()] {
-			continue
+			return 0, false
 		}
-		if s.Kind == arc.SlotSource && s.Subnet != tc.Src {
-			continue
-		}
-		if s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
-			continue
-		}
-		from := etg.G.AddVertex(s.FromVertex())
-		to := etg.G.AddVertex(s.ToVertex())
-		e := etg.G.AddEdge(from, to, st.SlotCost(s, tc.Dst))
-		etg.SlotOf[e] = s
-		etg.EdgeOf[s.Key()] = e
-	}
+		return st.SlotCost(s, tc.Dst), true
+	})
+	etg.Waypoints = st.Waypoint
 	return etg
 }
 
@@ -978,38 +955,22 @@ func BuildTCETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG 
 // attachment uses tc-level presence — a blocked entry drops traffic
 // outright, it cannot be routed around.
 func BuildRoutingETGFromState(h *HARC, st *State, tc topology.TrafficClass) *arc.ETG {
-	etg := &arc.ETG{
-		Level:     arc.LevelTC,
-		TC:        tc,
-		DstSubnet: tc.Dst,
-		G:         graph.New(),
-		SlotOf:    make(map[graph.E]*arc.Slot),
-		EdgeOf:    make(map[string]graph.E),
-	}
-	etg.Src = etg.G.AddVertex("SRC")
-	etg.Dst = etg.G.AddVertex("DST")
-	etg.Waypoints = st.Waypoint
 	dstm := st.Dst[tc.Dst.Name]
 	tcm := st.TC[tc.Key()]
-	for _, s := range h.Slots {
-		if s.Kind == arc.SlotSource {
+	etg := arc.Build(h.Slots, arc.LevelTC, tc, tc.Dst, func(s *arc.Slot) (int64, bool) {
+		switch {
+		case s.Kind == arc.SlotSource:
 			if s.Subnet != tc.Src || !tcm[s.Key()] {
-				continue
+				return 0, false
 			}
-		} else {
-			if s.Kind == arc.SlotDest && s.Subnet != tc.Dst {
-				continue
-			}
-			if !dstm[s.Key()] {
-				continue
-			}
+		case s.Kind == arc.SlotDest && s.Subnet != tc.Dst:
+			return 0, false
+		case !dstm[s.Key()]:
+			return 0, false
 		}
-		from := etg.G.AddVertex(s.FromVertex())
-		to := etg.G.AddVertex(s.ToVertex())
-		e := etg.G.AddEdge(from, to, st.SlotCost(s, tc.Dst))
-		etg.SlotOf[e] = s
-		etg.EdgeOf[s.Key()] = e
-	}
+		return st.SlotCost(s, tc.Dst), true
+	})
+	etg.Waypoints = st.Waypoint
 	return etg
 }
 

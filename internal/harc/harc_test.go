@@ -200,7 +200,7 @@ func TestBuildTCETGFromStateRespectsEdits(t *testing.T) {
 	if from < 0 || to < 0 || etg.G.FindEdge(from, to) < 0 {
 		t.Fatal("state-added edge not materialized")
 	}
-	if !arc.VerifyKReachable(etg, n, 2) {
+	if !arc.VerifyKReachable(etg, 2) {
 		t.Error("EP3 should hold on the repaired state")
 	}
 }

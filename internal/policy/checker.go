@@ -59,5 +59,5 @@ func (c *StateChecker) Check(p Policy) bool {
 	if p.Kind == PrimaryPath {
 		return arc.VerifyPrimaryPath(etg, c.routingETG(p.TC), p.Path)
 	}
-	return checkETG(etg, c.h.Network, p)
+	return checkETG(etg, p)
 }

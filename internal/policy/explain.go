@@ -69,11 +69,10 @@ func Explain(h *harc.HARC, p Policy) (witness string, ok bool) {
 		return "", false
 
 	case Isolated:
-		other := tcETGOf(h, p.TC2)
-		for key := range etg.EdgeOf {
-			if _, shared := other.EdgeOf[key]; shared {
-				return fmt.Sprintf("classes share edge %s", key), true
-			}
+		// The first shared slot in edge order (slot-table order), so the
+		// witness is the same on every run.
+		if s := etg.FirstSharedSlot(tcETGOf(h, p.TC2)); s != nil {
+			return fmt.Sprintf("classes share edge %s", s.Key()), true
 		}
 		return "", false
 	}

@@ -110,6 +110,46 @@ func TestExplainIsolation(t *testing.T) {
 	}
 }
 
+// TestExplainIsolationDeterministic: the isolation witness names the
+// first shared slot in edge order, so fresh HARC builds (fresh slot
+// tables, fresh graphs) always give the same text.
+func TestExplainIsolationDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		n := topology.Figure2a()
+		h := harc.Build(n)
+		p := Policy{
+			Kind: Isolated,
+			TC:   topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("T")},
+			TC2:  topology.TrafficClass{Src: n.Subnet("R"), Dst: n.Subnet("T")},
+		}
+		w, violated := Explain(h, p)
+		if !violated {
+			t.Fatal("classes share edges")
+		}
+		if i == 0 {
+			first = w
+			continue
+		}
+		if w != first {
+			t.Fatalf("build %d: witness %q, first build said %q", i, w, first)
+		}
+	}
+	// Edge order is slot-table order, which is key order.
+	n := topology.Figure2a()
+	h := harc.Build(n)
+	a := h.TCETG(topology.TrafficClass{Src: n.Subnet("S"), Dst: n.Subnet("T")})
+	b := h.TCETG(topology.TrafficClass{Src: n.Subnet("R"), Dst: n.Subnet("T")})
+	for _, s := range h.Slots {
+		if a.HasSlot(s) && b.HasSlot(s) {
+			if want := "classes share edge " + s.Key(); first != want {
+				t.Errorf("witness %q, want %q", first, want)
+			}
+			break
+		}
+	}
+}
+
 func TestExplainAll(t *testing.T) {
 	n := topology.Figure2a()
 	h := harc.Build(n)

@@ -90,7 +90,7 @@ func Check(h *harc.HARC, p Policy) bool {
 		// takes.
 		return arc.VerifyPrimaryPath(tcETGOf(h, p.TC), arc.BuildRoutingETG(h.Slots, p.TC), p.Path)
 	}
-	return checkETG(tcETGOf(h, p.TC), h.Network, p)
+	return checkETG(tcETGOf(h, p.TC), p)
 }
 
 func tcETGOf(h *harc.HARC, tc topology.TrafficClass) *arc.ETG {
@@ -110,41 +110,25 @@ func CheckState(h *harc.HARC, st *harc.State, p Policy) bool {
 	if p.Kind == PrimaryPath {
 		return arc.VerifyPrimaryPath(etg, harc.BuildRoutingETGFromState(h, st, p.TC), p.Path)
 	}
-	return checkETG(etg, h.Network, p)
+	return checkETG(etg, p)
 }
 
 // checkIsolated reports whether the two tcETGs share no edge slot
 // (edge_tc1 ⇒ ¬edge_tc2 for every edge, §5.1).
 func checkIsolated(a, b *arc.ETG) bool {
-	for key := range a.EdgeOf {
-		if _, shared := b.EdgeOf[key]; shared {
-			return false
-		}
-	}
-	return true
+	return a.FirstSharedSlot(b) == nil
 }
 
-func checkETG(etg *arc.ETG, n *topology.Network, p Policy) bool {
+func checkETG(etg *arc.ETG, p Policy) bool {
 	switch p.Kind {
 	case AlwaysBlocked:
 		return arc.VerifyAlwaysBlocked(etg)
 	case AlwaysWaypoint:
 		return arc.VerifyAlwaysWaypoint(etg)
 	case KReachable:
-		return arc.VerifyKReachable(etg, n, p.K)
+		return arc.VerifyKReachable(etg, p.K)
 	}
 	return false
-}
-
-// Violations returns the subset of policies the HARC currently violates.
-func Violations(h *harc.HARC, policies []Policy) []Policy {
-	var out []Policy
-	for _, p := range policies {
-		if !Check(h, p) {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Parse reads a specification: one policy per line, "#" comments, blank
@@ -247,7 +231,7 @@ func Infer(n *topology.Network) []Policy {
 			out = append(out, Policy{Kind: AlwaysBlocked, TC: tc})
 			continue
 		}
-		if arc.VerifyKReachable(etg, n, 2) {
+		if arc.VerifyKReachable(etg, 2) {
 			out = append(out, Policy{Kind: KReachable, TC: tc, K: 2})
 		} else {
 			out = append(out, Policy{Kind: KReachable, TC: tc, K: 1})

@@ -332,7 +332,7 @@ func TestKReachableEquivalence(t *testing.T) {
 		}
 		etg := arc.BuildTCETG(arc.Slots(n), tc)
 		for k := 1; k <= 2; k++ {
-			etgOK := arc.VerifyKReachable(etg, n, k)
+			etgOK := arc.VerifyKReachable(etg, k)
 			simOK := DeliveredUnderAllFailures(n, tc, k)
 			if etgOK != simOK {
 				t.Logf("seed %d k=%d: etg=%v sim=%v", seed, k, etgOK, simOK)
